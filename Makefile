@@ -3,10 +3,17 @@
 # concurrency-bearing packages and a benchmark smoke run of the sim core.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check build vet test docs-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
+# BENCH is the bench trajectory file this tree writes (BENCH.json +
+# BENCH.folded); BENCH_BASE is the committed trajectory perf-gate diffs it
+# against. Bump both here, nowhere else.
+BENCH ?= BENCH_PR12
+BENCH_BASE ?= BENCH_PR10
 
-check: vet build test docs-check
+.PHONY: check build vet fmt-check test docs-check hostbench-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
+
+check: fmt-check vet build test docs-check
 
 build:
 	$(GO) build ./...
@@ -16,6 +23,16 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Formatting gate: fails on any file gofmt would rewrite.
+fmt-check:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# The host-cost benchmark (hostbench/, its own module) compiles against the
+# experiments, workload and tsmon APIs; vet and self-test it so a rename
+# there fails here rather than in the benchmark run.
+hostbench-check:
+	cd hostbench && $(GO) vet ./... && $(GO) test ./...
 
 # Documentation gate: every internal package doc must name its paper section
 # and determinism contract, README/DESIGN/EXPERIMENTS must not reference
@@ -82,7 +99,7 @@ mon-smoke:
 # machine-readable bench report plus the micro run's folded-stack
 # flamegraph. CI uploads both as artifacts.
 bench:
-	$(GO) run ./cmd/vsocbench -exp micro,shardscale,phasedload -duration 8s -apps 2 -fetch -shards 4 -fleet -json BENCH_PR10.json -profile BENCH_PR10.folded > /dev/null
+	$(GO) run ./cmd/vsocbench -exp micro,shardscale,phasedload -duration 8s -apps 2 -fetch -shards 4 -fleet -json $(BENCH).json -profile $(BENCH).folded > /dev/null
 
 # The shardscale events/s, speedup, and fleet barrier-stall metrics measure
 # the build host's wall clock, not the simulation; gate them at a wide 90%
@@ -97,14 +114,13 @@ PERF_NOISY = -metric shardscale.events_per_sec_serial=0.9 \
 # Perf gate: vsocperf must parse the fresh bench report and find zero
 # regressions diffing it against itself (exit 1 on any).
 perf-smoke: bench
-	$(GO) run ./cmd/vsocperf BENCH_PR10.json BENCH_PR10.json
+	$(GO) run ./cmd/vsocperf $(BENCH).json $(BENCH).json
 
 # Cross-PR perf gate: the fresh run must not regress against the committed
-# PR9 baseline (vsocperf exits 1 on any regression). The telemetry layer is
-# observe-only — it changes no simulation path — so the whole deterministic
-# trajectory must hold exactly; the new phased.* metrics appear only on the
-# new side and diff as "new metric", never as regressions.
+# BENCH_BASE trajectory (vsocperf exits 1 on any regression). Only the
+# PERF_NOISY wall-clock metrics may move; a change that keeps the simulation
+# must hold every deterministic metric exactly.
 perf-gate: bench
-	$(GO) run ./cmd/vsocperf $(PERF_NOISY) BENCH_PR9.json BENCH_PR10.json
+	$(GO) run ./cmd/vsocperf $(PERF_NOISY) $(BENCH_BASE).json $(BENCH).json
 
-verify: check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate
+verify: check hostbench-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate

@@ -39,10 +39,7 @@ import (
 
 	"repro/internal/emulator"
 	"repro/internal/experiments"
-	"repro/internal/fleetobs"
 	"repro/internal/hostsim"
-	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/tsmon"
 	"repro/internal/workload"
 )
@@ -105,17 +102,7 @@ func main() {
 
 	var r *workload.Result
 	var err error
-	switch strings.ToLower(*appName) {
-	case "uhd":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatUHDVideo, 0, *duration))
-	case "360":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.Cat360Video, 0, *duration))
-	case "camera":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatCamera, 0, *duration))
-	case "ar":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatAR, 0, *duration))
-	case "livestream":
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(emulator.CatLivestream, 0, *duration))
+	switch app := strings.ToLower(*appName); app {
 	case "heavy3d":
 		r, err = workload.RunPopular(sess.Emulator, workload.PopularHeavy3D, workload.PopularSpec(workload.PopularHeavy3D, 0, *duration))
 	case "ui":
@@ -123,7 +110,11 @@ func main() {
 	case "social":
 		r, err = workload.RunPopular(sess.Emulator, workload.PopularSocialVideo, workload.PopularSpec(workload.PopularSocialVideo, 0, *duration))
 	default:
-		die("unknown app %q", *appName)
+		cat, ok := emergingApps[app]
+		if !ok {
+			die("unknown app %q", *appName)
+		}
+		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(cat, 0, *duration))
 	}
 	if err != nil {
 		die("run failed: %v", err)
@@ -167,10 +158,10 @@ func main() {
 	}
 }
 
-// farmCategories maps the emerging app names onto their Table 1 category
-// (the popular-app kinds drive their own environment loop and cannot join a
-// shard group).
-var farmCategories = map[string]int{
+// emergingApps maps the emerging app names onto their Table 1 category.
+// Only these can be monitored or farmed: the popular-app kinds drive their
+// own environment loop and cannot join a shard group.
+var emergingApps = map[string]int{
 	"uhd":        emulator.CatUHDVideo,
 	"360":        emulator.Cat360Video,
 	"camera":     emulator.CatCamera,
@@ -178,37 +169,9 @@ var farmCategories = map[string]int{
 	"livestream": emulator.CatLivestream,
 }
 
-// farmSLO mirrors the shardscale farm's QoS contracts: the interactive
-// categories carry the paper's tight motion-to-photon bounds, streaming
-// ones a looser budget, pure playback none.
-func farmSLO(cat int) time.Duration {
-	switch cat {
-	case emulator.CatCamera, emulator.CatAR:
-		return 100 * time.Millisecond
-	case emulator.CatLivestream:
-		return 250 * time.Millisecond
-	}
-	return 0
-}
-
-// farmMonitor builds a tsmon monitor for n guests of the app, mirroring
-// the farm's fleet QoS contracts.
-func farmMonitor(app string, cat, n int) *tsmon.Monitor {
-	var mcfg tsmon.Config
-	for g := 0; g < n; g++ {
-		mcfg.Tenants = append(mcfg.Tenants, tsmon.TenantConfig{
-			Name:     fmt.Sprintf("g%d:%s", g, app),
-			FPSFloor: 30,
-			M2PSLO:   farmSLO(cat),
-		})
-	}
-	return tsmon.New(mcfg)
-}
-
-// finishMonitor finalizes the monitor, prints its report, and writes the
+// finishMonitor prints the finalized monitor's report and writes the
 // machine-readable file when requested.
-func finishMonitor(mon *tsmon.Monitor, stop time.Duration, monOut string) {
-	mon.Finalize(stop)
+func finishMonitor(mon *tsmon.Monitor, monOut string) {
 	rep := mon.Report()
 	fmt.Println()
 	fmt.Print(rep.FormatText())
@@ -225,16 +188,15 @@ func finishMonitor(mon *tsmon.Monitor, stop time.Duration, monOut string) {
 // virtual time passes each boundary. Emerging apps only: the popular-app
 // kinds drive their own environment loop.
 func runMonitoredSingle(preset emulator.Preset, machine experiments.MachineSpec, app string, dur time.Duration, seed int64, monOut string) {
-	cat, ok := farmCategories[app]
+	cat, ok := emergingApps[app]
 	if !ok {
 		die("-mon supports the emerging apps only (uhd, 360, camera, ar, livestream)")
 	}
 	sess := workload.NewSession(preset, machine.New, seed)
 	defer sess.Close()
-	mon := farmMonitor(app, cat, 1)
+	mon := tsmon.New(tsmon.Config{Tenants: []tsmon.TenantConfig{experiments.FarmTenant(0, cat)}})
 	tn := mon.Tenant(0)
-	sess.Emulator.FrameObs = tn
-	sess.Emulator.Manager.SetFetchObserver(tn.DemandFetch)
+	experiments.ObserveGuest(sess, tn)
 	experiments.MonitorProbes(tn, sess)
 	pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, 0, dur))
 	if err != nil {
@@ -248,133 +210,50 @@ func runMonitoredSingle(preset emulator.Preset, machine experiments.MachineSpec,
 	fmt.Println(r)
 	fmt.Printf("frames=%d drops=%d (stale %d, deadline %d)\n",
 		r.Frames, r.Drops, r.StaleDrops, r.DeadlineDrops)
-	finishMonitor(mon, pd.Stop(), monOut)
+	mon.Finalize(pd.Stop())
+	finishMonitor(mon, monOut)
 }
 
 // runFarm runs n guest instances of the app as a sharded farm: one
 // environment and one shard per guest, coupled through the shared-host
 // arbiter at window barriers.
 func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string, dur time.Duration, seed int64, n int, fleet, monOn bool, monOut string) {
-	cat, ok := farmCategories[app]
+	cat, ok := emergingApps[app]
 	if !ok {
 		die("-shards farm mode supports the emerging apps only (uhd, 360, camera, ar, livestream)")
 	}
-	var fl *fleetobs.Fleet
-	if fleet {
-		fcfg := fleetobs.Config{Registry: obs.NewRegistry()}
-		for g := 0; g < n; g++ {
-			fcfg.Tenants = append(fcfg.Tenants, fleetobs.TenantConfig{
-				Name:     fmt.Sprintf("g%d:%s", g, app),
-				FPSFloor: 30,
-				M2PSLO:   farmSLO(cat),
-			})
-		}
-		fl = fleetobs.New(fcfg)
+	cats := make([]int, n)
+	for g := range cats {
+		cats[g] = cat
 	}
-	var mon *tsmon.Monitor
-	if monOn {
-		mon = farmMonitor(app, cat, n)
+	f, err := experiments.NewFarm(experiments.FarmConfig{
+		Preset: preset, Machine: machine, Categories: cats, Seed: seed, Duration: dur,
+		Shards: n, Fleet: fleet, Monitor: monOn,
+	})
+	if err != nil {
+		die("%v", err)
 	}
-	envs := make([]*sim.Env, 0, n)
-	machs := make([]*hostsim.Machine, 0, n)
-	pend := make([]*workload.Pending, 0, n)
-	var stop time.Duration
-	for g := 0; g < n; g++ {
-		sess := workload.NewSession(preset, machine.New, seed+int64(g)*1000003)
-		defer sess.Close()
-		envs = append(envs, sess.Env)
-		machs = append(machs, sess.Machine)
-		var frames []emulator.FrameObserver
-		var fetches []func(at, latency time.Duration)
-		if fl != nil {
-			tn := fl.Tenant(g)
-			frames = append(frames, tn)
-			fetches = append(fetches, tn.DemandFetch)
-		}
-		if mon != nil {
-			mt := mon.Tenant(g)
-			frames = append(frames, mt)
-			fetches = append(fetches, mt.DemandFetch)
-			experiments.MonitorProbes(mt, sess)
-		}
-		switch len(frames) {
-		case 1:
-			sess.Emulator.FrameObs = frames[0]
-		case 2:
-			sess.Emulator.FrameObs = frameTee{frames[0], frames[1]}
-		}
-		switch len(fetches) {
-		case 1:
-			sess.Emulator.Manager.SetFetchObserver(fetches[0])
-		case 2:
-			a, b := fetches[0], fetches[1]
-			sess.Emulator.Manager.SetFetchObserver(func(at, latency time.Duration) {
-				a(at, latency)
-				b(at, latency)
-			})
-		}
-		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, dur))
-		if err != nil {
-			die("guest %d: %v", g, err)
-		}
-		pend = append(pend, pd)
-		if pd.Stop() > stop {
-			stop = pd.Stop()
-		}
+	defer f.Close()
+	results, err := f.Run()
+	if err != nil {
+		die("%v", err)
 	}
-	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{}, machs...)
-	grp := sim.NewShardGroup(sh.Lookahead(), n, envs...)
-	defer grp.Close()
-	sh.Attach(grp)
-	if fl != nil {
-		fl.Attach(grp, sh)
-	}
-	if mon != nil {
-		grp.AtBarrier(func(prev, now time.Duration) { mon.Seal(now) })
-	}
-	wallStart := time.Now()
-	grp.RunUntil(stop)
-	wall := time.Since(wallStart)
-	for g, pd := range pend {
-		r, err := pd.Wait()
-		if err != nil {
-			die("guest %d: %v", g, err)
-		}
+	for g, r := range results {
 		fmt.Printf("guest %d: %v\n", g, r)
 	}
-	events := grp.ExecutedEvents()
+	events := f.Group.ExecutedEvents()
 	fmt.Printf("farm: %d guests on %d shards, lookahead %v, %d events in %.2fs wall (%.0f events/s)\n",
-		n, grp.Shards(), grp.Lookahead(), events, wall.Seconds(),
-		float64(events)/wall.Seconds())
-	if fl != nil {
-		fl.Finalize(stop)
+		n, f.Group.Shards(), f.Group.Lookahead(), events, f.Wall.Seconds(),
+		float64(events)/f.Wall.Seconds())
+	if f.Fleet != nil {
 		fmt.Println()
-		fmt.Print(fl.Report(stop).FormatText())
+		fmt.Print(f.Fleet.Report(f.Stop).FormatText())
 		fmt.Println()
-		fmt.Print(fl.StallReport().FormatText())
+		fmt.Print(f.Fleet.StallReport().FormatText())
 	}
-	if mon != nil {
-		finishMonitor(mon, stop, monOut)
+	if f.Monitor != nil {
+		finishMonitor(f.Monitor, monOut)
 	}
-}
-
-// frameTee fans one guest's frame telemetry out to the fleet and monitor
-// layers when both are attached.
-type frameTee struct{ a, b emulator.FrameObserver }
-
-func (t frameTee) FramePresented(at time.Duration) {
-	t.a.FramePresented(at)
-	t.b.FramePresented(at)
-}
-
-func (t frameTee) FrameDropped(at time.Duration) {
-	t.a.FrameDropped(at)
-	t.b.FrameDropped(at)
-}
-
-func (t frameTee) MotionToPhoton(at, latency time.Duration) {
-	t.a.MotionToPhoton(at, latency)
-	t.b.MotionToPhoton(at, latency)
 }
 
 func die(format string, args ...any) {

@@ -218,11 +218,7 @@ func RunOverhead(cfg Config) *OverheadResult {
 	out := &OverheadResult{}
 	finishObs := func() {
 		if tr != nil {
-			if err := writeTraceFile(cfg.TracePath, tr); err != nil {
-				out.TraceFile = "error: " + err.Error()
-			} else {
-				out.TraceFile = cfg.TracePath
-			}
+			out.TraceFile = writeTrace(cfg.TracePath, tr)
 		}
 		if reg != nil {
 			out.MetricsDump = reg.FormatText()

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
@@ -65,14 +65,13 @@ type PhasedLoadResult struct {
 	IncidentTraces []string
 }
 
-// phasedTenant is the scenario's QoS contract: the shardscale livestream
-// contract (30 FPS floor, 250 ms motion-to-photon SLO).
+// phasedTenant is the scenario's QoS contract: the farm livestream
+// contract (30 FPS floor, 250 ms motion-to-photon SLO) under the
+// scenario's own tenant label.
 func phasedTenant() tsmon.TenantConfig {
-	return tsmon.TenantConfig{
-		Name:     "g0:livestream",
-		FPSFloor: shardFarmFPSFloor,
-		M2PSLO:   250 * time.Millisecond,
-	}
+	tc := FarmTenant(0, emulator.CatLivestream)
+	tc.Name = "g0:livestream"
+	return tc
 }
 
 // MonitorProbes registers the standard pull-signal set on a tenant: link
@@ -167,8 +166,7 @@ func RunPhasedLoad(cfg Config) *PhasedLoadResult {
 		Profiler:  pf,
 	})
 	tn := mon.Tenant(0)
-	sess.Emulator.FrameObs = tn
-	sess.Emulator.Manager.SetFetchObserver(tn.DemandFetch)
+	ObserveGuest(sess, tn)
 	MonitorProbes(tn, sess)
 
 	// Primary app: the monitored livestream pipeline, running end to end.
@@ -221,39 +219,19 @@ func RunPhasedLoad(cfg Config) *PhasedLoadResult {
 		base := strings.TrimSuffix(cfg.TracePath, ".json")
 		for seq := range res.Mon.Incidents {
 			path := fmt.Sprintf("%s-incident%d.json", base, seq)
-			if err := writeIncidentTraceFile(path, mon, seq); err != nil {
-				res.IncidentTraces = append(res.IncidentTraces, "error: "+err.Error())
-				continue
-			}
-			res.IncidentTraces = append(res.IncidentTraces, path)
+			res.IncidentTraces = append(res.IncidentTraces, writeReport(path, func(w io.Writer) error {
+				return mon.WriteIncidentTrace(w, seq)
+			}))
 		}
 	}
 	if cfg.MonPath != "" {
-		if err := res.Mon.WriteJSONFile(cfg.MonPath); err != nil {
-			res.MonFile = "error: " + err.Error()
-		} else {
-			res.MonFile = cfg.MonPath
-		}
+		res.MonFile = writeReport(cfg.MonPath, res.Mon.WriteJSON)
 	}
 	return res
 }
 
 // msOf converts a virtual duration to milliseconds for phase reporting.
 func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// writeIncidentTraceFile writes incident seq's flight-recorder snapshot as
-// a Perfetto trace file.
-func writeIncidentTraceFile(path string, mon *tsmon.Monitor, seq int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := mon.WriteIncidentTrace(f, seq); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // FormatPhasedLoad renders the scenario report: the phase timeline, the
 // monitor summary, and which detector classes fired in which phase.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -51,17 +52,25 @@ func sanitizeName(s string) string {
 	return b.String()
 }
 
-// writeTraceFile exports t as Chrome/Perfetto trace-event JSON at path.
-func writeTraceFile(path string, t *obs.Tracer) error {
+// writeReport creates path, fills it through write, and returns what the
+// result structs record: the path, or "error: ..." when any step failed.
+func writeReport(path string, write func(io.Writer) error) string {
 	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		return err
+		return "error: " + err.Error()
 	}
-	if err := obs.WritePerfetto(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return path
+}
+
+// writeTrace exports t as a Chrome/Perfetto trace-event JSON file.
+func writeTrace(path string, t *obs.Tracer) string {
+	return writeReport(path, func(w io.Writer) error { return obs.WritePerfetto(w, t) })
 }
 
 // FormatRobustnessObs renders the observability addendum of a robustness

@@ -174,11 +174,7 @@ func runRobustnessCell(cfg Config, machine MachineSpec, preset emulator.Preset,
 	finishObs := func() {
 		if tr != nil {
 			path := cellTracePath(cfg.TracePath, preset.Name, class)
-			if err := writeTraceFile(path, tr); err != nil {
-				cell.TraceFile = "error: " + err.Error()
-			} else {
-				cell.TraceFile = path
-			}
+			cell.TraceFile = writeTrace(path, tr)
 		}
 		if reg != nil {
 			cell.MetricsDump = reg.FormatText()

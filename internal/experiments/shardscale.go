@@ -7,11 +7,7 @@ import (
 
 	"repro/internal/emulator"
 	"repro/internal/fleetobs"
-	"repro/internal/hostsim"
-	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/tsmon"
-	"repro/internal/workload"
 )
 
 // The shardscale experiment drives a multi-guest farm — several vSoC
@@ -37,34 +33,6 @@ const shardFarmGuests = 4
 // one profile.
 var shardFarmCategories = [shardFarmGuests]int{
 	emulator.CatUHDVideo, emulator.Cat360Video, emulator.CatCamera, emulator.CatLivestream,
-}
-
-// shardFarmPCIeBudget is the physical host's aggregate PCIe bandwidth
-// (bytes/s) shared by the guests. It sits below the sum of the guests'
-// private link rates, so a four-guest stampede is arbitrated down while a
-// lone guest never notices.
-const shardFarmPCIeBudget = 6e9
-
-// shardFarmFPSFloor is every farm tenant's QoS floor: half the 60 Hz
-// content rate, the point below which streaming is visibly broken.
-const shardFarmFPSFloor = 30
-
-// shardFarmTenant maps guest g running category cat onto its fleet QoS
-// contract. Motion-to-photon SLOs apply only to the categories whose sink
-// measures latency (camera- and network-fed pipelines); the video
-// categories are floor-only.
-func shardFarmTenant(g, cat int) fleetobs.TenantConfig {
-	tc := fleetobs.TenantConfig{
-		Name:     fmt.Sprintf("g%d:%s", g, emulator.CategoryNames[cat]),
-		FPSFloor: shardFarmFPSFloor,
-	}
-	switch cat {
-	case emulator.CatCamera, emulator.CatAR:
-		tc.M2PSLO = 100 * time.Millisecond
-	case emulator.CatLivestream:
-		tc.M2PSLO = 250 * time.Millisecond
-	}
-	return tc
 }
 
 // ShardScaleRow is one shard-count setting of the sweep.
@@ -140,181 +108,64 @@ func RunShardScale(cfg Config) *ShardScaleResult {
 	return res
 }
 
-// runShardFarm builds the farm fresh — four sessions, a shared-host arbiter,
-// a shard group — runs it to the last guest's stop time, and folds the
-// results into one row.
+// runShardFarm builds the farm fresh, runs it to the last guest's stop
+// time, and folds the results into one row.
 func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRow {
 	row := ShardScaleRow{Shards: shards}
-	sessions := make([]*workload.Session, 0, shardFarmGuests)
-	defer func() {
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
-	envs := make([]*sim.Env, 0, shardFarmGuests)
-	machs := make([]*hostsim.Machine, 0, shardFarmGuests)
-	pend := make([]*workload.Pending, 0, shardFarmGuests)
-
-	// Fleet observability (cfg.Fleet): per-guest tenants wired into the
-	// emulator frame hook and the svm fetch hook, plus the scheduler and
-	// shared-host observers. Observe-only — results are byte-identical
-	// with the layer on or off.
-	var fl *fleetobs.Fleet
-	if cfg.Fleet {
-		fcfg := fleetobs.Config{Registry: obs.NewRegistry()}
-		if cfg.TracePath != "" {
-			fcfg.Tracer = obs.NewTracer()
-		}
-		for g := 0; g < shardFarmGuests; g++ {
-			fcfg.Tenants = append(fcfg.Tenants, shardFarmTenant(g, shardFarmCategories[g]))
-		}
-		fl = fleetobs.New(fcfg)
+	f, err := NewFarm(FarmConfig{
+		Preset:     emulator.VSoC(),
+		Machine:    HighEnd,
+		Categories: shardFarmCategories[:],
+		Seed:       cfg.Seed,
+		Duration:   cfg.Duration,
+		Shards:     shards,
+		Fleet:      cfg.Fleet,
+		Trace:      cfg.TracePath != "",
+		Monitor:    cfg.Monitor,
+	})
+	if err != nil {
+		// vSoC runs every category; a failure here is a programming
+		// error, not a compat gap.
+		panic(fmt.Sprintf("shardscale: %v", err))
+	}
+	defer f.Close()
+	*lookahead = f.Group.Lookahead()
+	results, err := f.Run()
+	if err != nil {
+		panic(fmt.Sprintf("shardscale: %v", err))
 	}
 
-	// Streaming telemetry (cfg.Monitor): one tsmon tenant per guest sharing
-	// the fleet QoS contracts, sealed at the group's barriers. Observe-only
-	// like the fleet layer, and composable with it through observer tees.
-	var mon *tsmon.Monitor
-	if cfg.Monitor {
-		var mcfg tsmon.Config
-		for g := 0; g < shardFarmGuests; g++ {
-			fc := shardFarmTenant(g, shardFarmCategories[g])
-			mcfg.Tenants = append(mcfg.Tenants, tsmon.TenantConfig{
-				Name: fc.Name, FPSFloor: fc.FPSFloor, M2PSLO: fc.M2PSLO,
-			})
-		}
-		mon = tsmon.New(mcfg)
-	}
-
-	var stop time.Duration
-	for g := 0; g < shardFarmGuests; g++ {
-		cat := shardFarmCategories[g]
-		sess := workload.NewSession(emulator.VSoC(), HighEnd.New, appSeed(cfg.Seed, 700+g, cat, 0))
-		sessions = append(sessions, sess)
-		envs = append(envs, sess.Env)
-		machs = append(machs, sess.Machine)
-		var frames []emulator.FrameObserver
-		var fetches []func(at, latency time.Duration)
-		if fl != nil {
-			tn := fl.Tenant(g)
-			frames = append(frames, tn)
-			fetches = append(fetches, tn.DemandFetch)
-		}
-		if mon != nil {
-			mt := mon.Tenant(g)
-			frames = append(frames, mt)
-			fetches = append(fetches, mt.DemandFetch)
-			MonitorProbes(mt, sess)
-		}
-		switch len(frames) {
-		case 1:
-			sess.Emulator.FrameObs = frames[0]
-		case 2:
-			sess.Emulator.FrameObs = frameTee{frames[0], frames[1]}
-		}
-		switch len(fetches) {
-		case 1:
-			sess.Emulator.Manager.SetFetchObserver(fetches[0])
-		case 2:
-			a, b := fetches[0], fetches[1]
-			sess.Emulator.Manager.SetFetchObserver(func(at, latency time.Duration) {
-				a(at, latency)
-				b(at, latency)
-			})
-		}
-		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, cfg.Duration))
-		if err != nil {
-			// vSoC runs every category; a failure here is a programming
-			// error, not a compat gap.
-			panic(fmt.Sprintf("shardscale: guest %d failed to start: %v", g, err))
-		}
-		pend = append(pend, pd)
-		if pd.Stop() > stop {
-			stop = pd.Stop()
-		}
-	}
-	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{PCIeBudget: shardFarmPCIeBudget}, machs...)
-	*lookahead = sh.Lookahead()
-	grp := sim.NewShardGroup(sh.Lookahead(), shards, envs...)
-	defer grp.Close()
-	sh.Attach(grp)
-	grp.AtBarrier(func(prev, now time.Duration) { row.Windows++ })
-	if fl != nil {
-		fl.Attach(grp, sh)
-	}
-	if mon != nil {
-		// Barriers are the farm's global seal points: at each one every
-		// guest has advanced to `now`, so all samples below it are recorded.
-		grp.AtBarrier(func(prev, now time.Duration) { mon.Seal(now) })
-	}
-
-	wallStart := time.Now()
-	grp.RunUntil(stop)
-	wall := time.Since(wallStart)
-
-	if fl != nil {
-		fl.Finalize(stop)
-		row.Fleet = fl.Report(stop)
+	if fl := f.Fleet; fl != nil {
+		row.Fleet = fl.Report(f.Stop)
 		row.Stall = fl.StallReport()
 		if cfg.TracePath != "" {
 			path := fmt.Sprintf("%s-fleet-shards%d.json",
 				strings.TrimSuffix(cfg.TracePath, ".json"), shards)
-			if err := writeTraceFile(path, fl.Tracer()); err != nil {
-				row.FleetTrace = "error: " + err.Error()
-			} else {
-				row.FleetTrace = path
-			}
+			row.FleetTrace = writeTrace(path, fl.Tracer())
 		}
 	}
 
-	if mon != nil {
-		mon.Finalize(stop)
-		row.Mon = mon.Report()
+	if f.Monitor != nil {
+		row.Mon = f.Monitor.Report()
 		if cfg.MonPath != "" {
 			path := fmt.Sprintf("%s-shards%d.json",
 				strings.TrimSuffix(cfg.MonPath, ".json"), shards)
-			if err := row.Mon.WriteJSONFile(path); err != nil {
-				row.MonFile = "error: " + err.Error()
-			} else {
-				row.MonFile = path
-			}
+			row.MonFile = writeReport(path, row.Mon.WriteJSON)
 		}
 	}
 
-	for _, pd := range pend {
-		r, err := pd.Wait()
-		if err != nil {
-			panic(fmt.Sprintf("shardscale: guest result: %v", err))
-		}
+	for _, r := range results {
 		row.GuestFPS = append(row.GuestFPS, r.FPS)
 		row.MeanFPS += r.FPS / shardFarmGuests
 		row.Frames += r.Frames
 	}
-	row.Events = grp.ExecutedEvents()
-	row.WallMS = float64(wall.Microseconds()) / 1000
-	if s := wall.Seconds(); s > 0 {
+	row.Windows = f.Windows
+	row.Events = f.Group.ExecutedEvents()
+	row.WallMS = float64(f.Wall.Microseconds()) / 1000
+	if s := f.Wall.Seconds(); s > 0 {
 		row.EventsPerSec = float64(row.Events) / s
 	}
 	return row
-}
-
-// frameTee fans one guest's frame telemetry out to two observers (fleet +
-// monitor) when both layers are active.
-type frameTee struct{ a, b emulator.FrameObserver }
-
-func (t frameTee) FramePresented(at time.Duration) {
-	t.a.FramePresented(at)
-	t.b.FramePresented(at)
-}
-
-func (t frameTee) FrameDropped(at time.Duration) {
-	t.a.FrameDropped(at)
-	t.b.FrameDropped(at)
-}
-
-func (t frameTee) MotionToPhoton(at, latency time.Duration) {
-	t.a.MotionToPhoton(at, latency)
-	t.b.MotionToPhoton(at, latency)
 }
 
 // FormatShardScale renders the sweep. The simulation columns are identical

@@ -10,9 +10,6 @@ import (
 	"repro/internal/emulator"
 	"repro/internal/faults"
 	"repro/internal/fleetobs"
-	"repro/internal/hostsim"
-	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -49,15 +46,12 @@ func TestShardScaleDeterministicAcrossCounts(t *testing.T) {
 	if len(base.GuestFPS) != shardFarmGuests {
 		t.Fatalf("GuestFPS has %d entries, want %d", len(base.GuestFPS), shardFarmGuests)
 	}
-	for i, row := range res.Rows[1:] {
+	for _, row := range res.Rows[1:] {
 		if got := projectRow(row); !reflect.DeepEqual(got, base) {
 			t.Errorf("shards=%d diverged from serial:\n got %+v\nwant %+v",
 				row.Shards, got, base)
 		}
-		_ = i
 	}
-	// The rendered report's simulation columns are identical too: formatting
-	// with the wall columns blanked must collapse to one repeated line.
 	for _, row := range res.Rows {
 		if row.SpeedupX <= 0 {
 			t.Errorf("shards=%d: SpeedupX = %v, want > 0", row.Shards, row.SpeedupX)
@@ -80,10 +74,7 @@ func TestShardScaleFleetDeterministicAcrossCounts(t *testing.T) {
 	if base == nil {
 		t.Fatal("Fleet config did not produce a fleet report")
 	}
-	baseJSON, err := base.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseJSON := mustJSON(t, base)
 	baseText := base.FormatText()
 
 	// The hooks must actually flow: tenants present frames, fetch tails
@@ -101,11 +92,7 @@ func TestShardScaleFleetDeterministicAcrossCounts(t *testing.T) {
 	}
 
 	for _, row := range res.Rows[1:] {
-		js, err := row.Fleet.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(js, baseJSON) {
+		if !bytes.Equal(mustJSON(t, row.Fleet), baseJSON) {
 			t.Errorf("shards=%d: fleet report JSON diverged from serial", row.Shards)
 		}
 		if row.Fleet.FormatText() != baseText {
@@ -172,55 +159,31 @@ func TestShardScaleBenchMetricsShape(t *testing.T) {
 // telemetry that watched the run.
 func runChaosFarm(t *testing.T, dur time.Duration, fault bool) (*workload.Result, *fleetobs.Fleet, time.Duration) {
 	t.Helper()
-	cats := []int{emulator.CatUHDVideo, emulator.CatLivestream}
-	fcfg := fleetobs.Config{Registry: obs.NewRegistry()}
-	for g, cat := range cats {
-		fcfg.Tenants = append(fcfg.Tenants, shardFarmTenant(g, cat))
-	}
-	fl := fleetobs.New(fcfg)
-	var (
-		sessions []*workload.Session
-		envs     []*sim.Env
-		machs    []*hostsim.Machine
-		pend     []*workload.Pending
-		stop     time.Duration
-	)
-	for g, cat := range cats {
-		sess := workload.NewSession(emulator.VSoC(), HighEnd.New, appSeed(1, 700+g, cat, 0))
-		defer sess.Close()
-		sessions = append(sessions, sess)
-		envs = append(envs, sess.Env)
-		machs = append(machs, sess.Machine)
-		tn := fl.Tenant(g)
-		sess.Emulator.FrameObs = tn
-		sess.Emulator.Manager.SetFetchObserver(tn.DemandFetch)
-		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, dur))
-		if err != nil {
-			t.Fatalf("guest %d: %v", g, err)
-		}
-		pend = append(pend, pd)
-		if pd.Stop() > stop {
-			stop = pd.Stop()
-		}
-	}
-	if fault {
-		inj := faults.NewInjector(envs[0], 99)
-		inj.Schedule(dur/3, dur/3, faults.LinkCollapse(machs[0], machs[0].DRAM, machs[0].VRAM, 0.4))
-		inj.Arm()
-		fl.Tenant(0).AddFaultWindow(dur/3, dur/3)
-	}
-	sh := hostsim.NewSharedHost(hostsim.SharedHostConfig{PCIeBudget: shardFarmPCIeBudget}, machs...)
-	grp := sim.NewShardGroup(sh.Lookahead(), 2, envs...)
-	defer grp.Close()
-	sh.Attach(grp)
-	fl.Attach(grp, sh)
-	grp.RunUntil(stop)
-	fl.Finalize(stop)
-	r, err := pend[0].Wait()
+	f, err := NewFarm(FarmConfig{
+		Preset:     emulator.VSoC(),
+		Machine:    HighEnd,
+		Categories: []int{emulator.CatUHDVideo, emulator.CatLivestream},
+		Seed:       1,
+		Duration:   dur,
+		Shards:     2,
+		Fleet:      true,
+	})
 	if err != nil {
-		t.Fatalf("guest 0 result: %v", err)
+		t.Fatal(err)
 	}
-	return r, fl, stop
+	defer f.Close()
+	if fault {
+		s := f.Sessions[0]
+		inj := faults.NewInjector(s.Env, 99)
+		inj.Schedule(dur/3, dur/3, faults.LinkCollapse(s.Machine, s.Machine.DRAM, s.Machine.VRAM, 0.4))
+		inj.Arm()
+		f.Fleet.Tenant(0).AddFaultWindow(dur/3, dur/3)
+	}
+	results, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0], f.Fleet, f.Stop
 }
 
 func TestShardFarmChaosRecoversWithinEnvelope(t *testing.T) {

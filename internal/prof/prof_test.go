@@ -8,10 +8,10 @@ import (
 // fakeClock drives a profiler without a simulator.
 type fakeClock struct{ t time.Duration }
 
-func (c *fakeClock) now() time.Duration    { return c.t }
-func (c *fakeClock) at(d time.Duration)    { c.t = d }
-func ms_(n int) time.Duration              { return time.Duration(n) * time.Millisecond }
-func attach(pf *Profiler, c *fakeClock)    { pf.SetNow(c.now) }
+func (c *fakeClock) now() time.Duration { return c.t }
+func (c *fakeClock) at(d time.Duration) { c.t = d }
+func ms_(n int) time.Duration           { return time.Duration(n) * time.Millisecond }
+func attach(pf *Profiler, c *fakeClock) { pf.SetNow(c.now) }
 
 // buildFrame records a frame that waits on an op which splits its time
 // between queueing, exec, and a throttle stretch, then finishes 2ms of

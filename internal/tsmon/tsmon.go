@@ -28,18 +28,12 @@ import (
 	"repro/internal/prof"
 )
 
-// TenantConfig declares one monitored guest and its QoS contract, mirroring
-// the fleetobs tenant declaration so drivers can share one source of truth.
-type TenantConfig struct {
-	// Name labels the tenant in windows and incident reports.
-	Name string
-	// FPSFloor is the per-window presented-frame floor (frames/s); the
-	// default fps threshold detector fires below it. 0 disables it.
-	FPSFloor float64
-	// M2PSLO bounds motion-to-photon latency; samples above it count as
-	// SLO violations for the burn-rate detector. 0 disables SLO tracking.
-	M2PSLO time.Duration
-}
+// TenantConfig declares one monitored guest and its QoS contract. It is
+// the fleetobs tenant declaration, so drivers share one source of truth:
+// here the FPS floor bounds each window's presented-frame rate (the default
+// fps threshold detector fires below it) and the motion-to-photon SLO feeds
+// the burn-rate detector.
+type TenantConfig = fleetobs.TenantConfig
 
 // Config sizes the monitor.
 type Config struct {
@@ -89,11 +83,11 @@ type probe struct {
 // in-window percentiles merge-order independent; they are reset (not
 // reallocated) as windows seal.
 type accum struct {
-	frames, drops      uint32
-	m2pCount, m2pViol  uint32
-	m2p                fleetobs.LogHistogram
-	fetchCount         uint32
-	fetch              fleetobs.LogHistogram
+	frames, drops     uint32
+	m2pCount, m2pViol uint32
+	m2p               fleetobs.LogHistogram
+	fetchCount        uint32
+	fetch             fleetobs.LogHistogram
 }
 
 // Tenant is one guest's feed into the monitor. It implements the emulator
