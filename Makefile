@@ -8,8 +8,8 @@ GOFMT ?= gofmt
 # BENCH is the bench trajectory file this tree writes (BENCH.json +
 # BENCH.folded); BENCH_BASE is the committed trajectory perf-gate diffs it
 # against. Bump both here, nowhere else.
-BENCH ?= BENCH_PR12
-BENCH_BASE ?= BENCH_PR10
+BENCH ?= BENCH_PR13
+BENCH_BASE ?= BENCH_PR12
 
 .PHONY: check build vet fmt-check test docs-check hostbench-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
 
@@ -49,10 +49,13 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/...
 
 # One short iteration of the scheduler microbenchmarks: catches gross
-# regressions (and any return of per-event allocation) without the noise
-# sensitivity of a full benchmark run.
+# regressions (and any return of per-event or per-switch allocation)
+# without the noise sensitivity of a full benchmark run. The second line
+# covers the process-coroutine switch and a queue handoff between two
+# processes.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|ZeroDelay' -benchtime=10000x -benchmem ./internal/sim/bench
+	$(GO) test -run=NONE -bench='BenchmarkProcessSwitch|BenchmarkQueueHandoff' -benchtime=10000x -benchmem ./internal/sim
 
 # Fault-injection gate: the faults package under the race detector, plus one
 # short seeded robustness sweep so the degradation/recovery story stays

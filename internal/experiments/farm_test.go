@@ -95,7 +95,7 @@ func TestNewFarmStartErrorReleasesSessions(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "guest 2") || !strings.Contains(err.Error(), "camera") {
 		t.Fatalf("NewFarm error = %v, want guest 2 failing for lack of a camera", err)
 	}
-	// Aborted goroutines finish asynchronously after their final rendezvous.
+	// Goroutines stopped by Close may still be exiting; poll until they are gone.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.GC(); runtime.NumGoroutine() > before; runtime.GC() {
 		if time.Now().After(deadline) {

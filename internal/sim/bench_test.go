@@ -17,8 +17,8 @@ func BenchmarkTimerEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessSwitch measures the park/resume rendezvous cost of the
-// coroutine machinery.
+// BenchmarkProcessSwitch measures one resume/park round trip: a coroutine
+// switch into the process and its yield back to the scheduler.
 func BenchmarkProcessSwitch(b *testing.B) {
 	env := NewEnv(1)
 	defer env.Close()

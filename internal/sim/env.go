@@ -87,14 +87,18 @@ type Env struct {
 	fifoHead int
 	seq      uint64
 	dead     int // stopped timers still buried in the queues
-	procs    map[*Proc]struct{}
 	rng      *rand.Rand
-	sched    chan struct{} // process -> scheduler rendezvous
-	current  *Proc         // process currently executing, if any
+	current  *Proc // process currently executing, if any
 	closed   bool
+
+	// Live processes, in spawn order. A process leaves the list when its
+	// body returns, so finished processes are not retained.
+	procHead, procTail *Proc
+	nprocs             int
 
 	timerFree  *timerRec // recycled cancellation records
 	waiterFree *waiter   // recycled park registrations
+	runnerFree *runner   // idle process coroutines
 
 	// executed counts events dispatched by Step, the simulator-throughput
 	// numerator the shardscale sweep reports as events/s.
@@ -115,11 +119,7 @@ type Env struct {
 // NewEnv returns a fresh environment whose clock reads zero. The seed fixes
 // the environment's random stream; equal seeds give bit-identical runs.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		procs: make(map[*Proc]struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-		sched: make(chan struct{}),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -328,7 +328,7 @@ func (e *Env) Step() bool {
 		e.releaseTimer(ev.tmr)
 		fn()
 	case ev.proc != nil:
-		e.resume(ev.proc, resumeOK)
+		e.resume(ev.proc)
 	case ev.fn != nil:
 		ev.fn()
 	}
@@ -416,12 +416,13 @@ func (e *Env) PendingEvents() int {
 	return len(e.heap) + (len(e.fifo) - e.fifoHead) - e.dead
 }
 
-// Close aborts every live process so their goroutines exit, and discards all
-// pending events. Events are discarded before the processes unwind so stale
-// resume entries cannot pin aborted processes, and once more afterwards to
-// drop any wakeups scheduled by unwinding defers. The environment is
-// unusable afterwards. Close is the cleanup counterpart of NewEnv and is
-// safe to call multiple times.
+// Close aborts every live process, in spawn order, and discards all pending
+// events; then it stops every idle process coroutine, so no goroutine
+// outlives the Env. Events are discarded before the processes unwind so
+// stale resume entries cannot pin aborted processes, and once more
+// afterwards to drop any wakeups scheduled by unwinding defers. The
+// environment is unusable afterwards. Close is the cleanup counterpart of
+// NewEnv and is safe to call multiple times.
 func (e *Env) Close() {
 	if e.closed {
 		return
@@ -431,13 +432,13 @@ func (e *Env) Close() {
 	}
 	e.closed = true
 	e.discardEvents()
-	for p := range e.procs {
-		if p.state == procDone {
-			continue
-		}
-		e.resume(p, resumeAbort)
+	for e.procHead != nil {
+		e.abort(e.procHead)
 	}
-	e.procs = map[*Proc]struct{}{}
+	for r := e.runnerFree; r != nil; r = r.free {
+		r.stop()
+	}
+	e.runnerFree = nil
 	e.discardEvents()
 	hooks := e.closeHooks
 	e.closeHooks = nil
@@ -472,18 +473,6 @@ func (e *Env) discardEvents() {
 	e.waiterFree = nil
 }
 
-// resume hands control to p and blocks until p parks again or terminates.
-func (e *Env) resume(p *Proc, k resumeKind) {
-	if p.state == procDone {
-		return // stale timer for a finished process
-	}
-	prev := e.current
-	e.current = p
-	p.resume <- k
-	<-e.sched
-	e.current = prev
-}
-
 // currentProc returns the process executing right now, panicking when called
 // from scheduler context where no process is live.
 func (e *Env) currentProc() *Proc {
@@ -495,5 +484,5 @@ func (e *Env) currentProc() *Proc {
 
 func (e *Env) String() string {
 	return fmt.Sprintf("sim.Env{now: %v, events: %d, procs: %d}",
-		e.now, e.PendingEvents(), len(e.procs))
+		e.now, e.PendingEvents(), e.nprocs)
 }

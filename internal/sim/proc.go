@@ -1,12 +1,10 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
-
-type resumeKind int
-
-const (
-	resumeOK resumeKind = iota
-	resumeAbort
+import (
+	"fmt"
+	"iter"
 )
 
 type procState int
@@ -24,8 +22,62 @@ type procKilled struct{}
 type Proc struct {
 	env    *Env
 	name   string
-	resume chan resumeKind
+	fn     func(p *Proc) // body, cleared once a runner starts it
 	state  procState
+	runner *runner // coroutine executing the body; nil before start and after finish
+
+	prev, next *Proc // Env's live list, in spawn order
+}
+
+// runner is a pooled process coroutine. Its iterator body loops: run the
+// current tenant's function to completion, return to the Env's free list,
+// then yield until the next tenant's first resume. Switching into a
+// process is therefore one coroutine switch (next), and switching out is
+// one yield; no goroutine is created per process in steady state.
+type runner struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	proc  *Proc   // current tenant
+	free  *runner // free-list link
+}
+
+func newRunner(e *Env) *runner {
+	r := &runner{}
+	r.next, r.stop = iter.Pull(func(yield func(struct{}) bool) {
+		r.yield = yield
+		for r.run() {
+			r.free = e.runnerFree
+			e.runnerFree = r
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return r
+}
+
+// run executes the current tenant's body and retires the tenant. It
+// reports whether the runner may serve another process: false after an
+// abort, whose stop has already finished the coroutine. A panic other than
+// an abort propagates, naming the process, out of the resume that reached
+// it; the runner dies with it.
+func (r *runner) run() (reusable bool) {
+	p := r.proc
+	defer func() {
+		r.proc = nil
+		p.env.retire(p)
+		if x := recover(); x != nil {
+			if x == any(procKilled{}) {
+				return
+			}
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, x))
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	return true
 }
 
 // Spawn starts fn as a new process at the current instant. The process
@@ -39,35 +91,81 @@ func (e *Env) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
 	}
-	p := &Proc{env: e, name: name, resume: make(chan resumeKind)}
-	e.procs[p] = struct{}{}
-	go p.run(fn)
+	p := &Proc{env: e, name: name, fn: fn, prev: e.procTail}
+	if e.procTail != nil {
+		e.procTail.next = p
+	} else {
+		e.procHead = p
+	}
+	e.procTail = p
+	e.nprocs++
 	e.schedule(at, p, nil)
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	defer func() {
-		p.state = procDone
-		r := recover()
-		if r == nil || r == any(procKilled{}) {
-			// Normal completion or abort: return control to the scheduler.
-			p.env.sched <- struct{}{}
-			return
-		}
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-	}()
-	if k := <-p.resume; k == resumeAbort {
-		panic(procKilled{})
+// retire marks p finished and unlinks it from the live list, so a
+// finished process costs nothing until Close and any wakeup still queued
+// for it is dropped by resume.
+func (e *Env) retire(p *Proc) {
+	p.state = procDone
+	p.runner = nil
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.procHead = p.next
 	}
-	fn(p)
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		e.procTail = p.prev
+	}
+	p.prev, p.next = nil, nil
+	e.nprocs--
+}
+
+// resume hands control to p until it parks again or terminates. A process
+// takes a runner on its first resume. A panic escaping p's body propagates
+// to the caller with the scheduler's state restored, so the Env can still
+// be closed.
+func (e *Env) resume(p *Proc) {
+	if p.state == procDone {
+		return // stale wakeup for a finished process
+	}
+	r := p.runner
+	if r == nil {
+		if r = e.runnerFree; r != nil {
+			e.runnerFree = r.free
+			r.free = nil
+		} else {
+			r = newRunner(e)
+		}
+		r.proc = p
+		p.runner = r
+	}
+	prev := e.current
+	e.current = p
+	defer func() { e.current = prev }()
+	r.next()
+}
+
+// abort unwinds p without running any more of its body: a started process
+// panics procKilled out of its parked yield, running its defers; one that
+// never started is simply retired.
+func (e *Env) abort(p *Proc) {
+	if p.runner == nil {
+		e.retire(p)
+		return
+	}
+	prev := e.current
+	e.current = p
+	defer func() { e.current = prev }()
+	p.runner.stop()
 }
 
 // park yields control to the scheduler and blocks until the next resume.
 // Every blocking primitive funnels through park after registering a wakeup.
 func (p *Proc) park() {
-	p.env.sched <- struct{}{}
-	if k := <-p.resume; k == resumeAbort {
+	if !p.runner.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }

@@ -120,8 +120,9 @@ func TestWaitTimeoutExpiredLeavesNoWaiter(t *testing.T) {
 }
 
 // TestCloseFreesGoroutines is the regression for Close's ordering: aborting
-// processes after discarding events must unwind every parked goroutine, even
-// ones whose wakeups were still queued.
+// processes after discarding events must unwind every parked coroutine,
+// even ones whose wakeups were still queued, and stopping the idle pooled
+// runners left behind by processes that already finished must free theirs.
 func TestCloseFreesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := NewEnv(1)
@@ -130,8 +131,18 @@ func TestCloseFreesGoroutines(t *testing.T) {
 		env.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
 		env.Spawn("waiter", func(p *Proc) { ev.Wait(p) })
 		env.Spawn("timed", func(p *Proc) { ev.WaitTimeout(p, time.Hour) })
+		// Overlapping short lives: each holds its own runner, which goes
+		// back to the pool when the body returns.
+		env.Spawn("short", func(p *Proc) { p.Sleep(time.Microsecond) })
 	}
-	env.RunFor(time.Millisecond) // park everyone
+	env.RunFor(time.Millisecond) // park everyone, finish the short ones
+	idle := 0
+	for r := env.runnerFree; r != nil; r = r.free {
+		idle++
+	}
+	if idle != 20 {
+		t.Fatalf("%d idle runners before Close, want 20", idle)
+	}
 	// Close hooks run after the processes unwind and the queues are
 	// discarded — the window where subsystems release externally pinned
 	// resources (e.g. in-flight DMA chunk fences).
@@ -156,7 +167,13 @@ func TestCloseFreesGoroutines(t *testing.T) {
 	if !ran {
 		t.Fatal("OnClose on a closed env did not run the hook")
 	}
-	// Aborted goroutines finish asynchronously after their final rendezvous.
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before within a few seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
