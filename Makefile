@@ -8,8 +8,8 @@ GOFMT ?= gofmt
 # BENCH is the bench trajectory file this tree writes (BENCH.json +
 # BENCH.folded); BENCH_BASE is the committed trajectory perf-gate diffs it
 # against. Bump both here, nowhere else.
-BENCH ?= BENCH_PR13
-BENCH_BASE ?= BENCH_PR12
+BENCH ?= BENCH_PR14
+BENCH_BASE ?= BENCH_PR13
 
 .PHONY: check build vet fmt-check test docs-check hostbench-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
 
@@ -87,12 +87,17 @@ tune-smoke:
 # Telemetry gate (DESIGN.md §15): the monitored phased-load scenario must
 # raise at least one incident, and two equal-seed runs must produce
 # byte-identical monitor reports (vsocmon -digest compares the report
-# fingerprints; cmp the whole files).
+# fingerprints; cmp the whole files). Two equal-seed vsocsim farm runs with
+# the fleet and monitor attached must write byte-identical monitor reports
+# too, so vsocsim's farm mode runs under a gate.
 mon-smoke:
 	$(GO) run ./cmd/vsocbench -exp phasedload -duration 16s -seed 1 -monout /tmp/vsoc-mon-a.json > /dev/null
 	$(GO) run ./cmd/vsocbench -exp phasedload -duration 16s -seed 1 -monout /tmp/vsoc-mon-b.json > /dev/null
 	$(GO) run ./cmd/vsocmon -min-incidents 1 -digest /tmp/vsoc-mon-a.json /tmp/vsoc-mon-b.json
 	cmp /tmp/vsoc-mon-a.json /tmp/vsoc-mon-b.json
+	$(GO) run ./cmd/vsocsim -app camera -shards 2 -fleet -mon -duration 2s -seed 1 -monout /tmp/vsoc-farm-mon-a.json > /dev/null
+	$(GO) run ./cmd/vsocsim -app camera -shards 2 -fleet -mon -duration 2s -seed 1 -monout /tmp/vsoc-farm-mon-b.json > /dev/null
+	cmp /tmp/vsoc-farm-mon-a.json /tmp/vsoc-farm-mon-b.json
 
 # Benchmark trajectory: the profiled micro run (Fig. 16 + critical-path
 # attribution, DESIGN.md §10) with chunked demand fetches on (§11), plus the

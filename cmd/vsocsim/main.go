@@ -27,10 +27,12 @@
 // (emerging apps only); in farm mode windows seal at shard barriers, so
 // the report is byte-identical at every -shards count. Observe-only like
 // -fleet. -monout writes the machine-readable monitor report for
-// cmd/vsocmon to render.
+// cmd/vsocmon to render. A flag the run would ignore (-fleet without
+// -shards, -monout without -mon) is a usage error, exit 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -75,6 +77,11 @@ func main() {
 	mon := flag.Bool("mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
 	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 	flag.Parse()
+	if err := checkFlags(*shards, *fleet, *mon, *monOut); err != nil {
+		fmt.Fprintln(os.Stderr, "vsocsim:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	presetFn, ok := presetsByName[strings.ToLower(*emuName)]
 	if !ok {
@@ -156,6 +163,17 @@ func main() {
 			fmt.Printf("  thermal             %.0f C, throttled=%v\n", th.Temperature(), th.Throttled())
 		}
 	}
+}
+
+// checkFlags rejects flag combinations the run would silently ignore.
+func checkFlags(shards int, fleet, mon bool, monOut string) error {
+	if fleet && shards <= 0 {
+		return errors.New("-fleet needs farm mode (-shards N)")
+	}
+	if monOut != "" && !mon {
+		return errors.New("-monout needs -mon")
+	}
+	return nil
 }
 
 // emergingApps maps the emerging app names onto their Table 1 category.

@@ -2,13 +2,12 @@
 // conservative parallel runtime (DESIGN.md §13, building on the §12 shard
 // scheduler and the §8 obs infrastructure). It watches three planes at
 // once: scheduler introspection (per-window advance span, per-shard barrier
-// wait, cross-shard mailbox volume, lookahead utilization), shared-host
-// arbitration (per-window demand vs budget, applied scale, thermal state),
-// and per-tenant QoS (FPS vs a configurable floor, motion-to-photon vs SLO,
-// demand-fetch tail latency from a fixed-bucket log-scale histogram,
-// fault-window downtime), folding them into Perfetto counter tracks,
-// violation spans, a wall-clock barrier-stall attribution table, and a
-// machine-readable fleet report.
+// wait, lookahead utilization), shared-host arbitration (per-window demand
+// vs budget, applied scale), and per-tenant QoS (FPS vs a configurable
+// floor, motion-to-photon vs SLO, demand-fetch tail latency from a
+// fixed-bucket log-scale histogram, fault-window downtime), folding them
+// into Perfetto counter tracks, violation spans, a wall-clock barrier-stall
+// attribution table, and a machine-readable fleet report.
 //
 // Determinism contract: the layer is observe-only — with a Fleet attached,
 // simulation results are byte-identical to a run without one, and the
@@ -33,18 +32,18 @@ import (
 type Config struct {
 	// Tenants declares the guests in fleet order (one per environment).
 	Tenants []TenantConfig
-	// StragglerK flags a tenant whose tail p99 exceeds K times the fleet
-	// median p99 (computed independently for motion-to-photon and
-	// demand-fetch pools). Default 1.5.
-	StragglerK float64
 	// Tracer, when non-nil, receives fleet counter tracks (fleet:sched,
 	// fleet:host) and per-tenant violation spans (tenant:<name>). The
 	// fleet owns the tracer's clock: it binds SetNow to the barrier clock.
 	Tracer *obs.Tracer
 	// Registry, when non-nil, receives the scheduler sanity metrics
-	// (shard.window.count, shard.barrier.wait, shard.mail.*).
+	// (shard.window.count, shard.barrier.wait).
 	Registry *obs.Registry
 }
+
+// stragglerK flags a tenant whose tail p99 exceeds K times the fleet median
+// p99 (computed independently for motion-to-photon and demand-fetch pools).
+const stragglerK = 1.5
 
 // shardAccum is one shard's run-long wall accumulation.
 type shardAccum struct {
@@ -72,8 +71,6 @@ type Fleet struct {
 	finalWindows int
 	advanced     time.Duration
 	horizon      time.Duration
-	mails        int64
-	mailBytes    int64
 	events       uint64
 	wallScan     time.Duration
 	wallExec     time.Duration
@@ -81,28 +78,22 @@ type Fleet struct {
 	shards       []shardAccum
 
 	// Shared-host plane (coordinator only, all deterministic).
-	hostWindows   int
-	hostDemand    hostsim.Bytes
-	hostBusy      time.Duration
-	hostThrottled int
-	hostScaleSum  float64
-	hostMinScale  float64
+	hostWindows  int
+	hostDemand   hostsim.Bytes
+	hostBusy     time.Duration
+	hostScaleSum float64
+	hostMinScale float64
 
 	now time.Duration // fleet barrier clock; drives the tracer
 
 	schedTk, hostTk obs.Track
 	winCount        *obs.Counter
 	barrierWait     *obs.Histogram
-	mailCount       *obs.Counter
-	mailVolume      *obs.Counter
 }
 
 // New builds a Fleet over the configured tenants. A nil-tracer,
 // nil-registry config is valid: the fleet then only aggregates.
 func New(cfg Config) *Fleet {
-	if cfg.StragglerK <= 0 {
-		cfg.StragglerK = 1.5
-	}
 	f := &Fleet{cfg: cfg, hostMinScale: 1}
 	for i, tc := range cfg.Tenants {
 		f.tenants = append(f.tenants, newTenant(tc, i))
@@ -119,8 +110,6 @@ func New(cfg Config) *Fleet {
 	reg := cfg.Registry
 	f.winCount = reg.Counter("shard.window.count")
 	f.barrierWait = reg.Histogram("shard.barrier.wait")
-	f.mailCount = reg.Counter("shard.mail.sends")
-	f.mailVolume = reg.Counter("shard.mail.bytes")
 	return f
 }
 
@@ -156,8 +145,6 @@ func (f *Fleet) ShardWindow(w *sim.ShardWindowStats) {
 	adv := w.Limit - w.Base
 	f.advanced += adv
 	f.horizon += w.Lookahead
-	f.mails += int64(w.Mails)
-	f.mailBytes += w.MailBytes
 	f.wallScan += w.WallScan
 	f.wallExec += w.WallExec
 	f.wallArb += w.WallArb
@@ -180,8 +167,6 @@ func (f *Fleet) ShardWindow(w *sim.ShardWindowStats) {
 	}
 	f.events += winEvents
 	f.winCount.Inc()
-	f.mailCount.Add(int64(w.Mails))
-	f.mailVolume.Add(w.MailBytes)
 	if tr := f.cfg.Tracer; tr != nil {
 		tr.Count(f.schedTk, "advance_us", float64(adv)/1e3)
 		util := 0.0
@@ -190,7 +175,6 @@ func (f *Fleet) ShardWindow(w *sim.ShardWindowStats) {
 		}
 		tr.Count(f.schedTk, "lookahead_util", util)
 		tr.Count(f.schedTk, "events", float64(winEvents))
-		tr.Count(f.schedTk, "mail_sends", float64(w.Mails))
 	}
 }
 
@@ -200,9 +184,6 @@ func (f *Fleet) HostWindow(w *hostsim.SharedWindowStats) {
 	f.hostWindows++
 	f.hostDemand += w.DemandBytes
 	f.hostBusy += w.BusyTime
-	if w.Throttled {
-		f.hostThrottled++
-	}
 	f.hostScaleSum += w.Scale
 	if w.Scale < f.hostMinScale {
 		f.hostMinScale = w.Scale
@@ -215,7 +196,6 @@ func (f *Fleet) HostWindow(w *hostsim.SharedWindowStats) {
 		}
 		tr.Count(f.hostTk, "demand_gbps", gbps)
 		tr.Count(f.hostTk, "scale", w.Scale)
-		tr.Count(f.hostTk, "heat", w.Heat)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestTenantAttainmentAndViolations(t *testing.T) {
 }
 
 func TestStragglerDetection(t *testing.T) {
-	cfg := Config{StragglerK: 1.5}
+	var cfg Config
 	for _, n := range []string{"a", "b", "c", "d"} {
 		cfg.Tenants = append(cfg.Tenants, TenantConfig{Name: n})
 	}

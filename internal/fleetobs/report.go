@@ -16,7 +16,7 @@ import (
 // deterministic, and therefore kept out of Report entirely).
 
 // ReportSchema versions the fleet report JSON.
-const ReportSchema = 1
+const ReportSchema = 2
 
 // TenantReport is one guest's QoS summary.
 type TenantReport struct {
@@ -55,18 +55,15 @@ type SchedReport struct {
 	LookaheadUtil   float64 `json:"lookahead_util"` // advanced / horizon
 	Events          uint64  `json:"events"`
 	EventsPerWindow float64 `json:"events_per_window"`
-	MailSends       int64   `json:"mail_sends"`
-	MailBytes       int64   `json:"mail_bytes"`
 }
 
 // HostReport summarizes the shared-host arbiter's window sequence.
 type HostReport struct {
-	Windows          int     `json:"windows"`
-	DemandBytes      int64   `json:"demand_bytes"`
-	BusyMS           float64 `json:"busy_ms"`
-	MeanScale        float64 `json:"mean_scale"`
-	MinScale         float64 `json:"min_scale"`
-	ThrottledWindows int     `json:"throttled_windows"`
+	Windows     int     `json:"windows"`
+	DemandBytes int64   `json:"demand_bytes"`
+	BusyMS      float64 `json:"busy_ms"`
+	MeanScale   float64 `json:"mean_scale"`
+	MinScale    float64 `json:"min_scale"`
 }
 
 // FleetTails is the cross-tenant aggregate: merged tail percentiles and
@@ -144,20 +141,17 @@ func (f *Fleet) Report(end time.Duration) *Report {
 		LookaheadUtil:   round6(ratio(float64(f.advanced), float64(f.horizon), 0)),
 		Events:          f.events,
 		EventsPerWindow: round6(ratio(float64(f.events), float64(f.windows), 0)),
-		MailSends:       f.mails,
-		MailBytes:       f.mailBytes,
 	}
 	minScale := f.hostMinScale
 	if f.hostWindows == 0 {
 		minScale = 1
 	}
 	r.Host = HostReport{
-		Windows:          f.hostWindows,
-		DemandBytes:      int64(f.hostDemand),
-		BusyMS:           round6(float64(f.hostBusy) / 1e6),
-		MeanScale:        round6(ratio(f.hostScaleSum, float64(f.hostWindows), 1)),
-		MinScale:         round6(minScale),
-		ThrottledWindows: f.hostThrottled,
+		Windows:     f.hostWindows,
+		DemandBytes: int64(f.hostDemand),
+		BusyMS:      round6(float64(f.hostBusy) / 1e6),
+		MeanScale:   round6(ratio(f.hostScaleSum, float64(f.hostWindows), 1)),
+		MinScale:    round6(minScale),
 	}
 
 	secs := float64(end) / float64(time.Second)
@@ -228,7 +222,7 @@ func (f *Fleet) Report(end time.Duration) *Report {
 			return
 		}
 		for i := range rows {
-			if count(&rows[i]) > 0 && p99(&rows[i]) > f.cfg.StragglerK*med {
+			if count(&rows[i]) > 0 && p99(&rows[i]) > stragglerK*med {
 				rows[i].Straggler = true
 			}
 		}
@@ -256,7 +250,7 @@ func (f *Fleet) Report(end time.Duration) *Report {
 		FetchP50MS:      round6(fetchAll.Percentile(50)),
 		FetchP95MS:      round6(fetchAll.Percentile(95)),
 		FetchP99MS:      round6(fetchAll.Percentile(99)),
-		StragglerK:      round6(f.cfg.StragglerK),
+		StragglerK:      stragglerK,
 		Stragglers:      []string{},
 	}
 	for i := range rows {
@@ -281,12 +275,12 @@ func (r *Report) JSON() ([]byte, error) {
 func (r *Report) FormatText() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fleet report (%d guests, %.1fs virtual):\n", r.Guests, r.DurationMS/1e3)
-	fmt.Fprintf(&b, "  sched: %d windows (%d final), lookahead util %.3f, %.0f events/window, %d cross-shard sends (%d B)\n",
+	fmt.Fprintf(&b, "  sched: %d windows (%d final), lookahead util %.3f, %.0f events/window\n",
 		r.Sched.Windows, r.Sched.FinalWindows, r.Sched.LookaheadUtil,
-		r.Sched.EventsPerWindow, r.Sched.MailSends, r.Sched.MailBytes)
-	fmt.Fprintf(&b, "  host:  %d windows, %.2f GB demand, %.1f ms busy, scale mean %.3f / min %.3f, throttled %d\n",
+		r.Sched.EventsPerWindow)
+	fmt.Fprintf(&b, "  host:  %d windows, %.2f GB demand, %.1f ms busy, scale mean %.3f / min %.3f\n",
 		r.Host.Windows, float64(r.Host.DemandBytes)/1e9, r.Host.BusyMS,
-		r.Host.MeanScale, r.Host.MinScale, r.Host.ThrottledWindows)
+		r.Host.MeanScale, r.Host.MinScale)
 	fmt.Fprintf(&b, "  %-14s %7s %6s %8s %7s %7s %9s %9s %10s %5s\n",
 		"tenant", "fps", "floor%", "m2p_p99", "slo%", "fetches", "fetch_p50", "fetch_p99", "downtime", "strag")
 	for i := range r.Tenants {
@@ -324,7 +318,7 @@ type StallShard struct {
 
 // StallReport is the barrier-stall attribution table: each shard's share of
 // the run's window wall time split into compute, barrier wait, arbitration
-// (mail delivery + barrier hooks), and window scan. WallScan/WallExec/
+// (barrier hooks), and window scan. WallScan/WallExec/
 // WallArb are coordinator-side totals common to every shard; per shard,
 // compute + barrier = WallExec up to clock-read jitter, so the attribution
 // covers the full window time by construction.

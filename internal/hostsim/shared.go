@@ -8,12 +8,11 @@ import (
 
 // This file couples several guest machines onto one physical host
 // (DESIGN.md §12): in a farm, every guest's Machine models its private view
-// of the hardware, but the PCIe fabric, the DMA engine behind it, and the
-// chassis thermal envelope are shared. SharedHost is the arbiter that runs
-// at shard-group barriers — the shared-host-resource synchronization points
-// of the conservative parallel scheduler — reads each guest's per-window
-// resource draw, and applies a fair bandwidth share for the next window via
-// Link.SetSharedScale.
+// of the hardware, but the PCIe fabric and the DMA engine behind it are
+// shared. SharedHost is the arbiter that runs at shard-group barriers — the
+// shared-host-resource synchronization points of the conservative parallel
+// scheduler — reads each guest's per-window PCIe draw, and applies a fair
+// bandwidth share for the next window via Link.SetSharedScale.
 //
 // The coupling is deliberately window-grained: decisions made at barrier k
 // shape window k+1. That one-window lag is what lets the shards run a whole
@@ -32,35 +31,16 @@ type SharedHostConfig struct {
 	// combined demand in a window exceeds it, each guest's PCIe links are
 	// scaled by budget/demand for the next window. 0 disables the cap.
 	PCIeBudget float64
-	// MinScale floors the applied share so a stampede cannot strangle any
-	// guest entirely. Default 0.25.
-	MinScale float64
-	// HeatPerBusySecond, CoolPerSecond, ThrottleAt, ResumeAt, and
-	// ThrottledSpeed model the chassis thermal envelope over the guests'
-	// combined PCIe busy time, with the same hysteresis shape as the
-	// per-machine Thermal model. ThrottleAt 0 disables thermal coupling.
-	HeatPerBusySecond float64
-	CoolPerSecond     float64
-	ThrottleAt        float64
-	ResumeAt          float64
-	ThrottledSpeed    float64
 }
+
+// minScale floors the applied share so a stampede cannot strangle any guest
+// entirely.
+const minScale = 0.25
 
 // Resolved returns the config with zero knobs replaced by defaults.
 func (c SharedHostConfig) Resolved() SharedHostConfig {
 	if c.Window <= 0 {
 		c.Window = 2 * time.Millisecond
-	}
-	if c.MinScale <= 0 {
-		c.MinScale = 0.25
-	}
-	if c.ThrottleAt > 0 {
-		if c.ThrottledSpeed <= 0 {
-			c.ThrottledSpeed = 0.4
-		}
-		if c.ResumeAt <= 0 || c.ResumeAt > c.ThrottleAt {
-			c.ResumeAt = c.ThrottleAt * 0.9
-		}
 	}
 	return c
 }
@@ -72,18 +52,16 @@ type sharedLink struct {
 	lastBusy  time.Duration
 }
 
-// SharedHost arbitrates one physical host's PCIe budget and thermal
-// envelope across guest machines. Construct with NewSharedHost, then either
-// Attach it to a sim.ShardGroup or call Arbitrate from a driver's own
-// barrier. All methods run on the coordinating goroutine.
+// SharedHost arbitrates one physical host's PCIe budget across guest
+// machines. Construct with NewSharedHost, then either Attach it to a
+// sim.ShardGroup or call Arbitrate from a driver's own barrier. All methods
+// run on the coordinating goroutine.
 type SharedHost struct {
 	cfg   SharedHostConfig
 	links []sharedLink
 
-	scale     float64 // currently applied share
-	heat      float64
-	throttled bool
-	crossLat  time.Duration // max per-guest cross-boundary propagation floor
+	scale    float64       // currently applied share
+	crossLat time.Duration // max per-guest cross-boundary propagation floor
 
 	// obs, when non-nil, receives one callback per arbitration window on
 	// the coordinating goroutine. stats is the reused callback argument so
@@ -102,8 +80,6 @@ type SharedWindowStats struct {
 	BusyTime    time.Duration // combined PCIe busy time
 	Budget      float64       // configured budget, bytes/second (0 = uncapped)
 	Scale       float64       // share applied for the next window
-	Heat        float64       // thermal level after folding this window
-	Throttled   bool          // thermal envelope limiting the host
 }
 
 // SetObserver installs (or, with nil, removes) the per-window observer.
@@ -157,15 +133,9 @@ func (sh *SharedHost) Attach(g *sim.ShardGroup) {
 // Scale returns the share currently applied to the tracked links.
 func (sh *SharedHost) Scale() float64 { return sh.scale }
 
-// Throttled reports whether the thermal envelope is limiting the host.
-func (sh *SharedHost) Throttled() bool { return sh.throttled }
-
-// Heat returns the accumulated thermal level (model units over ambient).
-func (sh *SharedHost) Heat() float64 { return sh.heat }
-
 // Arbitrate is the barrier hook: fold the window [prev, now] of per-guest
-// PCIe draw into the budget and thermal models, and apply the resulting
-// share to every tracked link for the next window.
+// PCIe draw into the budget, and apply the resulting share to every tracked
+// link for the next window.
 func (sh *SharedHost) Arbitrate(prev, now time.Duration) {
 	dt := (now - prev).Seconds()
 	if dt <= 0 {
@@ -187,29 +157,14 @@ func (sh *SharedHost) Arbitrate(prev, now time.Duration) {
 			scale = sh.cfg.PCIeBudget / demand
 		}
 	}
-	if sh.cfg.ThrottleAt > 0 {
-		sh.heat += deltaBusy.Seconds()*sh.cfg.HeatPerBusySecond - dt*sh.cfg.CoolPerSecond
-		if sh.heat < 0 {
-			sh.heat = 0
-		}
-		if sh.heat >= sh.cfg.ThrottleAt {
-			sh.throttled = true
-		} else if sh.heat <= sh.cfg.ResumeAt {
-			sh.throttled = false
-		}
-		if sh.throttled {
-			scale *= sh.cfg.ThrottledSpeed
-		}
-	}
-	if scale < sh.cfg.MinScale {
-		scale = sh.cfg.MinScale
+	if scale < minScale {
+		scale = minScale
 	}
 	if sh.obs != nil {
 		sh.stats = SharedWindowStats{
 			Prev: prev, Now: now,
 			DemandBytes: deltaBytes, BusyTime: deltaBusy,
 			Budget: sh.cfg.PCIeBudget, Scale: scale,
-			Heat: sh.heat, Throttled: sh.throttled,
 		}
 		sh.obs(&sh.stats)
 	}

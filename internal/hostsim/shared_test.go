@@ -39,8 +39,8 @@ func TestSharedHostBudgetArbitration(t *testing.T) {
 	if over >= 1 {
 		t.Fatalf("scale after overload = %v, want < 1", over)
 	}
-	if over < 0.25 {
-		t.Fatalf("scale after overload = %v, floored below MinScale", over)
+	if over < minScale {
+		t.Fatalf("scale after overload = %v, floored below minScale", over)
 	}
 	for _, m := range []*Machine{m1, m2} {
 		if got := m.LinkBetween(m.DRAM, m.VRAM).SharedScale(); got != over {
@@ -60,55 +60,12 @@ func TestSharedHostMinScaleFloor(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
 	m := HighEndDesktop(env)
-	sh := NewSharedHost(SharedHostConfig{Window: time.Millisecond, PCIeBudget: 1, MinScale: 0.5}, m)
+	sh := NewSharedHost(SharedHostConfig{Window: time.Millisecond, PCIeBudget: 1}, m)
 
 	driveWindow(t, env, []*Machine{m}, 4*MiB, time.Millisecond)
 	sh.Arbitrate(0, time.Millisecond)
-	if got := sh.Scale(); got != 0.5 {
-		t.Fatalf("scale under a starvation budget = %v, want MinScale 0.5", got)
-	}
-}
-
-func TestSharedHostThermalHysteresis(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	m := HighEndDesktop(env)
-	sh := NewSharedHost(SharedHostConfig{
-		Window:            time.Millisecond,
-		HeatPerBusySecond: 1000, // every busy second adds 1000 units
-		CoolPerSecond:     0,    // no cooling while hot, cool windows below
-		ThrottleAt:        0.1,
-		ResumeAt:          0.05,
-		ThrottledSpeed:    0.4,
-	}, m)
-
-	// Heat up: keep the link busy until the envelope trips.
-	at := time.Duration(0)
-	for i := 0; i < 50 && !sh.Throttled(); i++ {
-		driveWindow(t, env, []*Machine{m}, 16*MiB, at+time.Millisecond)
-		sh.Arbitrate(at, at+time.Millisecond)
-		at += time.Millisecond
-	}
-	if !sh.Throttled() {
-		t.Fatalf("host never throttled under sustained load (heat %v)", sh.Heat())
-	}
-	if got := sh.Scale(); got != 0.4 {
-		t.Fatalf("throttled scale = %v, want ThrottledSpeed 0.4", got)
-	}
-
-	// Cool down: idle windows with cooling enabled must cross ResumeAt and
-	// restore the full share.
-	sh.cfg.CoolPerSecond = 100
-	for i := 0; i < 50 && sh.Throttled(); i++ {
-		env.RunUntil(sim.Time(at + time.Millisecond))
-		sh.Arbitrate(at, at+time.Millisecond)
-		at += time.Millisecond
-	}
-	if sh.Throttled() {
-		t.Fatalf("host never resumed after cooling (heat %v)", sh.Heat())
-	}
-	if got := sh.Scale(); got != 1 {
-		t.Fatalf("scale after resume = %v, want 1", got)
+	if got := sh.Scale(); got != 0.25 {
+		t.Fatalf("scale under a starvation budget = %v, want the 0.25 floor", got)
 	}
 }
 

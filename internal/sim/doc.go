@@ -24,10 +24,9 @@
 // process lifecycle).
 //
 // shard.go adds the conservative parallel shard runtime (DESIGN.md §12): a
-// ShardGroup runs several Envs on worker goroutines in lockstep lookahead
-// windows bounded by each shard's earliest possible cross-shard effect,
-// with mailboxes delivered at barriers. The determinism contract carries
-// over — every shard observes the same (time, sequence) order at every
-// shard count, so multi-guest runs are byte-identical to their serial
-// interleaving.
+// ShardGroup runs several Envs on worker goroutines in lockstep windows one
+// arbitration epoch wide, with barrier hooks folding shared state between
+// windows. The determinism contract carries over — every shard observes the
+// same (time, sequence) order at every shard count, so multi-guest runs are
+// byte-identical to their serial interleaving.
 package sim

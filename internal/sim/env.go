@@ -386,8 +386,9 @@ func (e *Env) RunUntilEvery(t, every Time, fn func(now Time)) {
 // inclusive is set, for the final window of a bounded run), then advances
 // the clock to exactly limit. It is RunUntil with an exclusive bound — the
 // per-shard inner loop of the conservative parallel scheduler, which must
-// not execute an event at the window horizon because a cross-shard message
-// could still be delivered there at the barrier.
+// not execute an event at the window horizon because the barrier hooks at
+// that instant (shared-host arbitration) have not run yet, and their
+// decision must precede every event at it.
 func (e *Env) runWindow(limit Time, inclusive bool) {
 	for !e.closed {
 		at, ok := e.nextAt()

@@ -1,36 +1,21 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-	"time"
-)
+import "time"
 
 // This file implements the conservative parallel scheduler (DESIGN.md §12):
 // a ShardGroup partitions independent environments (one per guest instance)
-// into shards, each advancing through its own PR 1 event queue, synchronized
-// only at window barriers. The window horizon is derived from the group's
-// lookahead — the minimum cross-shard latency (link service floors, VM-exit
-// cost), below which no shard can affect another — so within a window the
-// shards are causally independent and can run on separate cores.
+// into shards, each advancing through its own event queue, synchronized
+// only at window barriers. Environments share no events: they couple only
+// through state that barrier hooks fold between windows, so within a window
+// the shards are independent and can run on separate cores. The window
+// width is the group's lookahead — the arbitration epoch of those hooks.
 //
 // Determinism contract: output is byte-identical at every shard count. The
 // window sequence depends only on the global earliest event time (not on the
 // partition), each environment's execution inside a window is purely local,
-// and cross-shard mail is delivered at barriers in a total order — by
-// (delivery time, sending environment index, send order) — before any
-// target event at the same instant is created, so sequence numbers land
-// identically however the envs were sharded.
-
-// mail is one cross-shard message: fn runs in the target environment's
-// scheduler context at time at. bytes is observability payload only — it
-// never shapes delivery.
-type mail struct {
-	at    Time
-	to    int
-	bytes int64
-	fn    func()
-}
+// and barrier hooks run on the coordinating goroutine after every shard has
+// parked, so what they decide reaches every environment at the same instant
+// however the envs were sharded.
 
 // ShardLoad is one shard's share of a window: virtual events executed and
 // the wall-clock time its goroutine spent executing them. Events is
@@ -43,29 +28,25 @@ type ShardLoad struct {
 
 // ShardWindowStats describes one executed window for an observer. The
 // struct is reused across windows — observers must copy anything they keep.
-// Base/Limit/Lookahead/Final/Mails/MailBytes and every Shards[i].Events are
-// deterministic (identical at every shard count for equal seeds); the Wall*
-// fields and Shards[i].Compute are wall-clock measurements for stall
-// attribution only.
+// Base/Limit/Lookahead/Final and every Shards[i].Events are deterministic
+// (identical at every shard count for equal seeds); the Wall* fields and
+// Shards[i].Compute are wall-clock measurements for stall attribution only.
 type ShardWindowStats struct {
 	Base      Time // global earliest event time the window opened at
 	Limit     Time // window horizon actually executed to
 	Lookahead Time // configured conservative horizon
 	Final     bool // closed inclusively at the run bound
 
-	Mails     int   // cross-shard messages delivered at this barrier
-	MailBytes int64 // observability payload bytes across those messages
-
 	WallScan time.Duration // coordinator: global min-scan + window setup
 	WallExec time.Duration // coordinator: dispatch through last shard parked
-	WallArb  time.Duration // coordinator: mail delivery + barrier hooks
+	WallArb  time.Duration // coordinator: barrier hooks
 
 	Shards []ShardLoad // per-shard load, indexed by shard
 }
 
 // ShardObserver receives one callback per executed window, on the
-// coordinating goroutine, after mail delivery and barrier hooks. Observers
-// must not mutate the group or its environments.
+// coordinating goroutine, after the barrier hooks. Observers must not
+// mutate the group or its environments.
 type ShardObserver interface {
 	ShardWindow(w *ShardWindowStats)
 }
@@ -90,14 +71,15 @@ type ShardGroup struct {
 
 	hooks []func(prev, now Time)
 
-	// outbox[i] is written only by the goroutine running envs[i]'s shard
-	// during a window; the coordinator drains every outbox at the barrier
-	// (after all workers parked, so no data race).
-	outbox [][]mail
-
 	start  []chan windowReq // one per extra worker (shards beyond the first)
 	done   chan struct{}
 	closed bool
+
+	// panics[s] holds the value recovered from a panic on shard s during
+	// the current window. Each shard writes only its own slot and the
+	// coordinator reads them after every shard parked (the done handshake
+	// orders both), so a panic anywhere unwinds through RunUntil.
+	panics []any
 
 	// obs, when non-nil, receives per-window scheduler telemetry. stats is
 	// the reused callback argument; workers write only their own
@@ -109,8 +91,8 @@ type ShardGroup struct {
 }
 
 // NewShardGroup partitions envs round-robin into at most shards shards.
-// lookahead must be positive: it is the conservative window size, and the
-// minimum cross-shard Send delay. One shard degenerates to a serial loop
+// lookahead must be positive: it is the window width, the epoch at which
+// barrier hooks fold shared state. One shard degenerates to a serial loop
 // with no worker goroutines; shard counts above len(envs) are clamped.
 func NewShardGroup(lookahead Time, shards int, envs ...*Env) *ShardGroup {
 	if lookahead <= 0 {
@@ -139,7 +121,7 @@ func NewShardGroup(lookahead Time, shards int, envs ...*Env) *ShardGroup {
 		envs:      envs,
 		shards:    make([][]*Env, shards),
 		lookahead: lookahead,
-		outbox:    make([][]mail, len(envs)),
+		panics:    make([]any, shards),
 	}
 	for i, e := range envs {
 		s := i % shards
@@ -179,8 +161,10 @@ func (g *ShardGroup) worker(s int, envs []*Env, start <-chan windowReq) {
 
 // runShardWindow advances one shard's environments through a window,
 // recording the shard's load when an observer is installed. The fast path
-// (no observer) is branch-only: no timing, no allocation.
+// (no observer) is branch-only: no timing, no allocation. A panic stops the
+// shard's window and is kept for RunUntil to rethrow.
 func (g *ShardGroup) runShardWindow(s int, envs []*Env, limit Time, final bool) {
+	defer g.recoverShard(s)
 	if g.obs == nil {
 		for _, e := range envs {
 			e.runWindow(limit, final)
@@ -204,6 +188,13 @@ func (g *ShardGroup) runShardWindow(s int, envs []*Env, limit Time, final bool) 
 	ld.Compute = time.Since(wall)
 }
 
+// recoverShard records a panic unwinding shard s's window in its slot.
+func (g *ShardGroup) recoverShard(s int) {
+	if p := recover(); p != nil {
+		g.panics[s] = p
+	}
+}
+
 // Shards returns the number of shards actually running (after clamping).
 func (g *ShardGroup) Shards() int { return len(g.shards) }
 
@@ -215,43 +206,16 @@ func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 func (g *ShardGroup) Now() Time { return g.now }
 
 // AtBarrier registers fn to run on the coordinating goroutine at every
-// window barrier, after all shards have parked and cross-shard mail has
-// been delivered. prev and now bound the window just executed. This is the
-// shared-host-resource synchronization point: PCIe budget arbitration, DMA
-// engine accounting, and the thermal envelope read per-env state here and
-// apply their decisions to the next window. Hooks run in registration
-// order.
+// window barrier, after all shards have parked. prev and now bound the
+// window just executed. This is the shared-host-resource synchronization
+// point: PCIe budget arbitration reads per-env state here and applies its
+// decision to the next window, before any event at instant now runs. Hooks
+// run in registration order.
 func (g *ShardGroup) AtBarrier(fn func(prev, now Time)) {
 	if fn == nil {
 		panic("sim: AtBarrier with nil hook")
 	}
 	g.hooks = append(g.hooks, fn)
-}
-
-// Send schedules fn to run in environment to's scheduler context delay from
-// environment from's current instant. It must be called from code executing
-// inside environment from (its shard's goroutine owns the outbox), and
-// delay must be at least the group's lookahead — a shorter delay could land
-// inside the window being executed, which the conservative protocol cannot
-// honor. Delivery order is deterministic regardless of sharding.
-func (g *ShardGroup) Send(from, to int, delay Time, fn func()) {
-	g.SendSized(from, to, delay, 0, fn)
-}
-
-// SendSized is Send with an observability payload size attached: bytes is
-// reported to the group's ShardObserver as cross-shard mailbox volume but
-// never shapes delivery, so it cannot perturb determinism.
-func (g *ShardGroup) SendSized(from, to int, delay Time, bytes int64, fn func()) {
-	if fn == nil {
-		panic("sim: Send with nil callback")
-	}
-	if from < 0 || from >= len(g.envs) || to < 0 || to >= len(g.envs) {
-		panic(fmt.Sprintf("sim: Send %d -> %d out of range", from, to))
-	}
-	if delay < g.lookahead {
-		panic(fmt.Sprintf("sim: Send delay %v below lookahead %v", delay, g.lookahead))
-	}
-	g.outbox[from] = append(g.outbox[from], mail{at: g.envs[from].Now() + delay, to: to, bytes: bytes, fn: fn})
 }
 
 // nextEventAt returns the earliest pending event time across the group.
@@ -267,7 +231,8 @@ func (g *ShardGroup) nextEventAt() (Time, bool) {
 }
 
 // runShards executes one window on every shard: the first shard on the
-// coordinating goroutine, the rest on their workers.
+// coordinating goroutine, the rest on their workers. Once every shard has
+// parked it rethrows the lowest-indexed shard's panic.
 func (g *ShardGroup) runShards(limit Time, final bool) {
 	req := windowReq{limit: limit, final: final}
 	for _, ch := range g.start {
@@ -277,40 +242,20 @@ func (g *ShardGroup) runShards(limit Time, final bool) {
 	for range g.start {
 		<-g.done
 	}
-}
-
-// deliver drains every outbox into the target environments. Messages are
-// ordered by (delivery time, sending env index, send order) — the sort is
-// stable over a by-sender concatenation — so event sequence numbers in the
-// targets are independent of the partition. Delivery times are at or after
-// the barrier instant by the Send delay floor, so pushes never land in the
-// past.
-func (g *ShardGroup) deliver() {
-	var msgs []mail
-	for i := range g.outbox {
-		msgs = append(msgs, g.outbox[i]...)
-		g.outbox[i] = g.outbox[i][:0]
-	}
-	if len(msgs) == 0 {
-		return
-	}
-	sort.SliceStable(msgs, func(a, b int) bool { return msgs[a].at < msgs[b].at })
-	for _, m := range msgs {
-		g.envs[m.to].push(event{at: m.at, fn: m.fn})
-	}
-	if g.obs != nil {
-		g.stats.Mails = len(msgs)
-		for _, m := range msgs {
-			g.stats.MailBytes += m.bytes
+	for _, p := range g.panics {
+		if p != nil {
+			clear(g.panics)
+			panic(p)
 		}
 	}
 }
 
 // RunUntil drives every environment to exactly t under the windowed
 // protocol: repeatedly find the global earliest event time T, execute all
-// events in [T, T+lookahead) shard-parallel, then synchronize — deliver
-// cross-shard mail and run barrier hooks. The final window closes at t
-// inclusively, matching Env.RunUntil's bound.
+// events in [T, T+lookahead) shard-parallel, then run the barrier hooks.
+// The final window closes at t inclusively, matching Env.RunUntil's bound.
+// A panic on any shard propagates from RunUntil once every shard has
+// parked, with the lowest shard index's value.
 func (g *ShardGroup) RunUntil(t Time) {
 	if g.closed {
 		panic("sim: RunUntil on closed shard group")
@@ -347,7 +292,6 @@ func (g *ShardGroup) RunUntil(t Time) {
 			g.stats.Base, g.stats.Limit = T, limit
 			g.stats.Lookahead = g.lookahead
 			g.stats.Final = final
-			g.stats.Mails, g.stats.MailBytes = 0, 0
 			execStart = time.Now()
 		}
 		g.runShards(limit, final)
@@ -355,7 +299,6 @@ func (g *ShardGroup) RunUntil(t Time) {
 		if g.obs != nil {
 			arbStart = time.Now()
 		}
-		g.deliver()
 		prev := g.now
 		g.now = limit
 		for _, h := range g.hooks {

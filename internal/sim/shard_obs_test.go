@@ -9,16 +9,12 @@ import (
 type winKey struct {
 	Base, Limit, Lookahead Time
 	Final                  bool
-	Mails                  int
-	MailBytes              int64
 }
 
 // windowRecorder copies the deterministic fields of every observed window.
 type windowRecorder struct {
-	windows   []winKey
-	events    []uint64 // per-window event totals (partition-independent)
-	mails     int
-	mailBytes int64
+	windows []winKey
+	events  []uint64 // per-window event totals (partition-independent)
 }
 
 func (r *windowRecorder) ShardWindow(w *ShardWindowStats) {
@@ -28,17 +24,15 @@ func (r *windowRecorder) ShardWindow(w *ShardWindowStats) {
 	}
 	r.windows = append(r.windows, winKey{
 		Base: w.Base, Limit: w.Limit, Lookahead: w.Lookahead,
-		Final: w.Final, Mails: w.Mails, MailBytes: w.MailBytes,
+		Final: w.Final,
 	})
 	r.events = append(r.events, total)
-	r.mails += w.Mails
-	r.mailBytes += w.MailBytes
 }
 
 // TestShardObserverDeterministicAcrossCounts pins the instrumentation's
-// own contract: window bounds, per-window event totals, and mailbox volume
-// are identical at every shard count, the events sum matches
-// ExecutedEvents, and attaching an observer does not perturb execution.
+// own contract: window bounds and per-window event totals are identical at
+// every shard count, the events sum matches ExecutedEvents, and attaching an
+// observer does not perturb execution.
 func TestShardObserverDeterministicAcrossCounts(t *testing.T) {
 	const horizon = 30 * time.Millisecond
 	run := func(shards int, observe bool) (*windowRecorder, string, uint64) {
@@ -87,35 +81,6 @@ func TestShardObserverDeterministicAcrossCounts(t *testing.T) {
 					shards, i, rec.windows[i], rec.events[i], base.windows[i], base.events[i])
 			}
 		}
-	}
-}
-
-// TestShardObserverCountsMail pins SendSized's observability payload: the
-// observer sees every delivered message and its byte volume.
-func TestShardObserverCountsMail(t *testing.T) {
-	const lookahead = time.Millisecond
-	envs := []*Env{NewEnv(1), NewEnv(2)}
-	defer envs[0].Close()
-	defer envs[1].Close()
-	g := NewShardGroup(lookahead, 2, envs...)
-	defer g.Close()
-	rec := &windowRecorder{}
-	g.SetObserver(rec)
-
-	delivered := 0
-	envs[0].After(100*time.Microsecond, func() {
-		g.SendSized(0, 1, lookahead, 4096, func() { delivered++ })
-		g.Send(0, 1, lookahead, func() { delivered++ })
-	})
-	g.RunUntil(10 * time.Millisecond)
-	if delivered != 2 {
-		t.Fatalf("delivered %d messages, want 2", delivered)
-	}
-	if rec.mails != 2 {
-		t.Fatalf("observer saw %d mails, want 2", rec.mails)
-	}
-	if rec.mailBytes != 4096 {
-		t.Fatalf("observer saw %d mail bytes, want 4096", rec.mailBytes)
 	}
 }
 

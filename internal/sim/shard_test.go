@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -88,71 +90,6 @@ func TestShardGroupMatchesSerialEnvs(t *testing.T) {
 	}
 }
 
-// TestShardGroupSendDeterministic checks cross-shard mail: messages are
-// delivered at their requested instants in a total order independent of the
-// partition, and a delay below the lookahead panics.
-func TestShardGroupSendDeterministic(t *testing.T) {
-	const lookahead = 200 * time.Microsecond
-	run := func(shards int) string {
-		envs := make([]*Env, 4)
-		logs := make([]*[]string, 4)
-		for i := range envs {
-			envs[i] = NewEnv(int64(7 + i))
-			logs[i] = &[]string{}
-		}
-		var g *ShardGroup
-		g = NewShardGroup(lookahead, shards, envs...)
-		for i := range envs {
-			i := i
-			e := envs[i]
-			var ping func()
-			ping = func() {
-				*logs[i] = append(*logs[i], fmt.Sprintf("ping %d@%v", i, e.Now()))
-				if e.Now() < 5*time.Millisecond {
-					to := (i + 1) % len(envs)
-					g.Send(i, to, lookahead+time.Duration(i)*50*time.Microsecond, func() {
-						*logs[to] = append(*logs[to], fmt.Sprintf("recv %d->%d@%v", i, to, envs[to].Now()))
-					})
-					e.After(300*time.Microsecond, ping)
-				}
-			}
-			e.After(time.Duration(i+1)*100*time.Microsecond, ping)
-		}
-		g.RunUntil(6 * time.Millisecond)
-		g.Close()
-		out := flattenLogs(logs)
-		for _, e := range envs {
-			e.Close()
-		}
-		return out
-	}
-	want := run(1)
-	if want == "" {
-		t.Fatal("empty run log")
-	}
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); got != want {
-			t.Fatalf("shards=%d: mail delivery diverged\n got: %.200s\nwant: %.200s", shards, got, want)
-		}
-	}
-
-	// Sub-lookahead sends are a protocol violation, not a silent reorder.
-	envs, _ := shardRig(2)
-	g := NewShardGroup(lookahead, 2, envs...)
-	defer func() {
-		g.Close()
-		for _, e := range envs {
-			e.Close()
-		}
-	}()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Send below lookahead did not panic")
-		}
-	}()
-	g.Send(0, 1, lookahead-time.Microsecond, func() {})
-}
-
 // TestShardGroupBarrierHooks checks the shared-resource synchronization
 // point: hooks run at every window barrier with contiguous, monotone
 // window bounds covering the whole run, identically at every shard count.
@@ -190,6 +127,83 @@ func TestShardGroupBarrierHooks(t *testing.T) {
 		got := run(shards)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("shards=%d: window sequence diverged", shards)
+		}
+	}
+}
+
+// TestShardGroupBarrierPrecedesLimitEvents pins why a window's bound is
+// exclusive: an event scheduled exactly at a non-final window limit runs
+// after that barrier's hooks, so what the hooks decide at an instant (the
+// shared-host arbitration) reaches every event at that instant — identically
+// at every shard count.
+func TestShardGroupBarrierPrecedesLimitEvents(t *testing.T) {
+	const lookahead = time.Millisecond
+	var want string
+	for i := 0; i < 4; i++ {
+		for k := Time(1); k <= 3; k++ {
+			want += fmt.Sprintf("%d@%v saw epoch %v\n", i, k*lookahead, k*lookahead)
+		}
+	}
+	for _, shards := range []int{1, 2, 4} {
+		envs := make([]*Env, 4)
+		seen := make([]*[]string, len(envs))
+		var epoch Time // written only by the barrier hook
+		for i := range envs {
+			e := NewEnv(int64(i + 1))
+			log := &[]string{}
+			envs[i], seen[i] = e, log
+			for k := Time(1); k <= 3; k++ {
+				e.After(k*lookahead, func() {
+					*log = append(*log, fmt.Sprintf("%d@%v saw epoch %v", i, e.Now(), epoch))
+				})
+			}
+		}
+		envs[0].After(0, func() {}) // the first window opens at 0 and ends at 1ms
+		g := NewShardGroup(lookahead, shards, envs...)
+		g.AtBarrier(func(prev, now Time) { epoch = now })
+		g.RunUntil(4 * lookahead)
+		g.Close()
+		for _, e := range envs {
+			e.Close()
+		}
+		if got := flattenLogs(seen); got != want {
+			t.Fatalf("shards=%d: events at a window limit ran before its barrier\n got: %s\nwant: %s", shards, got, want)
+		}
+	}
+}
+
+// TestShardGroupPanicOnAnyShard checks that a panicking process on any shard
+// unwinds through RunUntil once every shard has parked, with the lowest
+// panicking shard's message naming its process, and that the group and
+// every environment then close cleanly, leaving no goroutine behind.
+func TestShardGroupPanicOnAnyShard(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		for boom := 0; boom < shards; boom++ {
+			before := runtime.NumGoroutine()
+			envs, _ := shardRig(shards)
+			// envs[i] runs on shard i; a later shard panics at the same
+			// instant, and the lower index must win.
+			for _, s := range []int{boom, shards - 1} {
+				name := fmt.Sprintf("boom%d", s)
+				envs[s].Spawn(name, func(p *Proc) {
+					p.Sleep(3 * time.Millisecond)
+					panic(name)
+				})
+			}
+			g := NewShardGroup(500*time.Microsecond, shards, envs...)
+			msg := func() (msg any) {
+				defer func() { msg = recover() }()
+				g.RunUntil(30 * time.Millisecond)
+				return nil
+			}()
+			if want := fmt.Sprintf(`process "boom%d" panicked`, boom); !strings.Contains(fmt.Sprint(msg), want) {
+				t.Fatalf("shards=%d: recovered %v, want a message containing %s", shards, msg, want)
+			}
+			g.Close()
+			for _, e := range envs {
+				e.Close()
+			}
+			waitGoroutines(t, before)
 		}
 	}
 }
