@@ -13,8 +13,8 @@
 //
 // Run with -h for the experiment list; names, aliases, ordering, and the
 // per-experiment -trace behavior all come from the shared experiments
-// registry (internal/experiments/registry.go), which cmd/vsoctrace's usage
-// is generated from too.
+// registry (internal/experiments/registry.go), which also says how each
+// experiment runs; cmd/vsoctrace's usage is generated from it too.
 //
 // -workers bounds how many app sessions simulate concurrently (0 = one per
 // CPU, 1 = serial). Results are identical at every setting; only wall-clock
@@ -26,9 +26,9 @@
 // reports. Both observe only: with them off, output is byte-identical to a
 // build without the observability layer.
 //
-// `-exp all` runs every registered experiment except the batching sweep and
-// the profiled micro run, so its output stays comparable across builds; run
-// `-exp batching` / `-exp micro` explicitly.
+// `-exp all` runs every registered experiment marked InAll, so its output
+// stays comparable across builds; -h lists the ones it skips. -trace and
+// -profile exit 2 when no selected experiment would honor them.
 //
 // -fleet enables the fleet/scheduler observability layer (DESIGN.md §13)
 // for the shardscale farm: per-tenant QoS/SLO tracking, the deterministic
@@ -53,15 +53,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/emulator"
 	"repro/internal/experiments"
-	"repro/internal/tune"
 )
 
 func main() {
@@ -84,10 +83,26 @@ func main() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
 		flag.PrintDefaults()
-		fmt.Fprintf(out, "\nExperiments ('all' runs each of these except batching):\n%s",
-			experiments.UsageText())
+		var skipped []string
+		for _, e := range experiments.Registry() {
+			if !e.InAll {
+				skipped = append(skipped, e.Name)
+			}
+		}
+		fmt.Fprintf(out, "\nExperiments ('all' runs each of these except %s):\n%s",
+			strings.Join(skipped, ", "), experiments.UsageText())
 	}
 	flag.Parse()
+
+	entries, labels, err := selectExperiments(*exp)
+	if err == nil {
+		err = checkIgnored(entries, *tracePath, *profilePath)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := experiments.Config{
 		Duration:        *duration,
@@ -105,168 +120,20 @@ func main() {
 		MonPath:         *monOut,
 	}
 
-	// Runners by canonical experiment name (see the registry for aliases).
-	// A runner prints its report and returns any metrics it contributes to
-	// the -json bench report (nil for experiments outside the trajectory).
-	runners := map[string]func() []experiments.BenchMetric{
-		"table1": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatTable1(experiments.Table1()))
-			return nil
-		},
-		"table2": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatTable2(experiments.RunTable2(cfg)))
-			return nil
-		},
-		"fig10": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatEmerging(experiments.RunEmergingSweep(cfg, experiments.HighEnd), "10", "13"))
-			return nil
-		},
-		"fig11": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatEmerging(experiments.RunEmergingSweep(cfg, experiments.MidEnd), "11", "14"))
-			return nil
-		},
-		"fig12": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatAblation(experiments.RunAblation(cfg)))
-			return nil
-		},
-		"fig15": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatPopular(experiments.RunPopular(cfg)))
-			return nil
-		},
-		"popablation": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatPopularAblation(experiments.RunPopularAblation(cfg)))
-			return nil
-		},
-		"prediction": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatPrediction(experiments.RunPrediction(cfg)))
-			return nil
-		},
-		"overhead": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatOverhead(experiments.RunOverhead(cfg)))
-			return nil
-		},
-		"fig16": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatFig16(experiments.RunFig16(cfg)))
-			return nil
-		},
-		"micro": func() []experiments.BenchMetric {
-			r := experiments.RunMicro(cfg)
-			fmt.Print(experiments.FormatMicro(r))
-			if cfg.ProfilePath != "" {
-				if err := writeFolded(cfg.ProfilePath, r); err != nil {
-					fmt.Fprintf(os.Stderr, "vsocbench: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("[folded-stack profile written to %s]\n", cfg.ProfilePath)
-			}
-			return experiments.MicroBenchMetrics(r)
-		},
-		"services": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatServices(experiments.RunServices(cfg)))
-			return nil
-		},
-		"protocols": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatProtocols(experiments.RunProtocols(cfg)))
-			return nil
-		},
-		"thermal": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatThermal(experiments.RunThermal(cfg)))
-			return nil
-		},
-		"resolution": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatResolution(experiments.RunResolutionSweep(cfg)))
-			return nil
-		},
-		"robustness": func() []experiments.BenchMetric {
-			r := experiments.RunRobustness(cfg)
-			fmt.Print(experiments.FormatRobustness(r))
-			fmt.Print(experiments.FormatRobustnessObs(r))
-			return nil
-		},
-		"batching": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatBatching(experiments.RunBatching(cfg)))
-			return nil
-		},
-		"fetchpipe": func() []experiments.BenchMetric {
-			fmt.Print(experiments.FormatFetchPipe(experiments.RunFetchPipe(cfg)))
-			return nil
-		},
-		"shardscale": func() []experiments.BenchMetric {
-			r := experiments.RunShardScale(cfg)
-			fmt.Print(experiments.FormatShardScale(r))
-			return experiments.ShardScaleBenchMetrics(r)
-		},
-		"phasedload": func() []experiments.BenchMetric {
-			r := experiments.RunPhasedLoad(cfg)
-			fmt.Print(experiments.FormatPhasedLoad(r))
-			return experiments.PhasedLoadBenchMetrics(r)
-		},
-		"tune": func() []experiments.BenchMetric {
-			// The tuner re-runs the evaluation probe once per candidate, so
-			// cap the per-evaluation cost: full -duration/-apps would
-			// multiply a 30s session by the whole search budget. cmd/vsoctune
-			// exposes the uncapped flag set.
-			tcfg := cfg
-			if tcfg.Duration > 6*time.Second {
-				tcfg.Duration = 6 * time.Second
-			}
-			if tcfg.AppsPerCategory > 2 {
-				tcfg.AppsPerCategory = 2
-			}
-			opts := tune.Options{Seed: cfg.Seed, Budget: 24}
-			for _, p := range []emulator.Preset{emulator.VSoCNoPrefetch(), emulator.VSoC()} {
-				fmt.Print(tune.Run(tcfg, p, opts).FormatResult())
-			}
-			return nil
-		},
-	}
-
-	// -exp accepts a comma-separated list (e.g. micro,shardscale), run in
-	// the order given with their bench metrics merged into one -json report.
-	var entries []experiments.Entry
-	var labels []string
-	if *exp != "all" {
-		for _, name := range strings.Split(*exp, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			e, known := experiments.LookupExperiment(name)
-			if !known {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-				flag.Usage()
-				os.Exit(2)
-			}
-			entries = append(entries, e)
-			labels = append(labels, name)
-		}
-		if len(entries) == 0 {
-			fmt.Fprintf(os.Stderr, "empty -exp list\n")
-			flag.Usage()
-			os.Exit(2)
-		}
-	}
-
 	wallStart := time.Now()
 	bench := map[string][]experiments.BenchMetric{}
-	timed := func(name, label string, fn func() []experiments.BenchMetric) {
+	for i, e := range entries {
 		start := time.Now()
-		if ms := fn(); len(ms) > 0 {
-			bench[name] = ms
+		report, ms, err := e.Run(cfg)
+		fmt.Print(report)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "vsocbench: %v\n", err)
+			os.Exit(1)
 		}
-		fmt.Printf("[%s in %.1fs]\n\n", label, time.Since(start).Seconds())
-	}
-	if *exp == "all" {
-		for _, e := range experiments.Registry() {
-			if e.InAll {
-				timed(e.Name, e.Name, runners[e.Name])
-			}
+		if len(ms) > 0 {
+			bench[e.Name] = ms
 		}
-	} else {
-		// Label with the names as typed, so alias runs log as requested.
-		for i, e := range entries {
-			timed(e.Name, labels[i], runners[e.Name])
-		}
+		fmt.Printf("[%s in %.1fs]\n\n", labels[i], time.Since(start).Seconds())
 	}
 	if *jsonPath != "" {
 		if err := experiments.NewBenchReport(bench).WriteJSONFile(*jsonPath); err != nil {
@@ -278,15 +145,50 @@ func main() {
 	fmt.Printf("[total %.1fs, %d workers]\n", time.Since(wallStart).Seconds(), cfg.EffectiveWorkers())
 }
 
-// writeFolded writes the micro run's folded-stack flamegraph export.
-func writeFolded(path string, r *experiments.MicroResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// selectExperiments resolves -exp: "all" selects every InAll entry in
+// registry order; otherwise a comma-separated list runs in the order given,
+// each labeled as typed so alias runs log as requested.
+func selectExperiments(exp string) (entries []experiments.Entry, labels []string, err error) {
+	if exp == "all" {
+		for _, e := range experiments.Registry() {
+			if e.InAll {
+				entries = append(entries, e)
+				labels = append(labels, e.Name)
+			}
+		}
+		return entries, labels, nil
 	}
-	if err := r.Report.WriteFolded(f); err != nil {
-		f.Close()
-		return err
+	for _, name := range strings.Split(exp, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		e, known := experiments.LookupExperiment(name)
+		if !known {
+			return nil, nil, fmt.Errorf("unknown experiment %q", name)
+		}
+		entries = append(entries, e)
+		labels = append(labels, name)
 	}
-	return f.Close()
+	if len(entries) == 0 {
+		return nil, nil, errors.New("empty -exp list")
+	}
+	return entries, labels, nil
+}
+
+// checkIgnored rejects -trace and -profile when no selected experiment
+// would honor them, rather than silently writing nothing.
+func checkIgnored(entries []experiments.Entry, tracePath, profilePath string) error {
+	var traced, profiled bool
+	for _, e := range entries {
+		traced = traced || e.Trace != ""
+		profiled = profiled || e.Profile != ""
+	}
+	if tracePath != "" && !traced {
+		return errors.New("-trace: no selected experiment writes a trace")
+	}
+	if profilePath != "" && !profiled {
+		return errors.New("-profile: no selected experiment writes a profile")
+	}
+	return nil
 }

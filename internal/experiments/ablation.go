@@ -52,61 +52,32 @@ func RunAblation(cfg Config) *AblationResult {
 	variants := []emulator.Preset{
 		emulator.VSoC(), emulator.VSoCNoPrefetch(), emulator.VSoCNoFence(),
 	}
-	type job struct{ vi, cat, app int }
-	type result struct {
-		fps float64
-		ok  bool
+	var runs []appRun
+	for vi, v := range variants {
+		runs = append(runs, appsOf(cfg, v, HighEnd, 100+vi, cfg.AppsPerCategory, allCats()...)...)
 	}
-	var jobs []job
-	for vi := range variants {
-		for cat := 0; cat < emulator.NumCategories; cat++ {
-			runnable := variants[vi].EmergingCompat[cat]
-			if runnable > cfg.AppsPerCategory {
-				runnable = cfg.AppsPerCategory
-			}
-			for app := 0; app < runnable; app++ {
-				jobs = append(jobs, job{vi, cat, app})
-			}
-		}
-	}
-	results := parmap(cfg.workers(), len(jobs), func(i int) result {
-		j := jobs[i]
-		sess := workload.NewSession(variants[j.vi], HighEnd.New, appSeed(cfg.Seed, 100+j.vi, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		r, err := workload.RunEmerging(sess.Emulator, spec)
-		if err != nil {
-			return result{}
-		}
-		return result{fps: r.FPS, ok: true}
-	})
+	done := sweep(cfg, runs, false, func(_ *workload.Session, r *workload.Result) float64 { return r.FPS })
 	out := &AblationResult{}
 	for cat := 0; cat < emulator.NumCategories; cat++ {
 		out.Categories = append(out.Categories, emulator.CategoryNames[cat])
 	}
-	for vi := range variants {
+	cols := []*[]float64{&out.Full, &out.NoPrefetch, &out.NoFence}
+	for vi, v := range variants {
 		for cat := 0; cat < emulator.NumCategories; cat++ {
 			var fps float64
 			n := 0
-			for i, j := range jobs {
-				if j.vi != vi || j.cat != cat || !results[i].ok {
+			for _, d := range done {
+				if d.preset.Name != v.Name || d.cat != cat {
 					continue
 				}
-				fps += results[i].fps
+				fps += d.out
 				n++
 			}
 			mean := 0.0
 			if n > 0 {
 				mean = fps / float64(n)
 			}
-			switch vi {
-			case 0:
-				out.Full = append(out.Full, mean)
-			case 1:
-				out.NoPrefetch = append(out.NoPrefetch, mean)
-			case 2:
-				out.NoFence = append(out.NoFence, mean)
-			}
+			*cols[vi] = append(*cols[vi], mean)
 		}
 	}
 	return out
@@ -135,7 +106,7 @@ func RunPopularAblation(cfg Config) *PopularAblationResult {
 	}
 	// Every (variant, app) pair is one independent session; failures record
 	// 0 FPS, matching the serial bookkeeping.
-	flat := parmap(cfg.workers(), len(variants)*len(mix), func(i int) float64 {
+	flat := ParMap(cfg.EffectiveWorkers(), len(variants)*len(mix), func(i int) float64 {
 		vi, app := i/len(mix), i%len(mix)
 		kind := mix[app]
 		sess := workload.NewSession(variants[vi], HighEnd.New, appSeed(cfg.Seed, 200+vi, int(kind), app))

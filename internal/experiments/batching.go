@@ -237,16 +237,16 @@ func RunBatching(cfg Config) *BatchingResult {
 		p.Batch = s.batch
 		jobs = append(jobs, job{s.label, p})
 	}
-	rows := parmap(cfg.workers(), len(jobs), func(i int) BatchingRow {
+	rows := ParMap(cfg.EffectiveWorkers(), len(jobs), func(i int) BatchingRow {
 		return runBatchingStress(cfg, jobs[i].label, jobs[i].preset)
 	})
 	out := &BatchingResult{Rows: rows}
 
 	// Guardrail runs fan out internally, so they stay sequential here.
-	out.GuardOff = runFig16Preset(cfg, emulator.VSoCNoPrefetch())
+	out.GuardOff = runVideoProbe(cfg, emulator.VSoCNoPrefetch(), false).Fig16
 	bp := emulator.VSoCNoPrefetch()
 	bp.Batch = virtio.EnabledBatch()
-	out.GuardOn = runFig16Preset(cfg, bp)
+	out.GuardOn = runVideoProbe(cfg, bp, false).Fig16
 	if out.GuardOff.MeanMS > 0 {
 		out.GuardRegressionPct = (out.GuardOn.MeanMS - out.GuardOff.MeanMS) /
 			out.GuardOff.MeanMS * 100

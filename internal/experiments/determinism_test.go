@@ -51,7 +51,7 @@ func TestParallelDeterminism(t *testing.T) {
 func TestParmap(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		var calls atomic.Int64
-		out := parmap(workers, 50, func(i int) int {
+		out := ParMap(workers, 50, func(i int) int {
 			calls.Add(1)
 			return i * i
 		})
@@ -67,29 +67,12 @@ func TestParmap(t *testing.T) {
 }
 
 func TestParmapEmpty(t *testing.T) {
-	out := parmap(8, 0, func(i int) int {
+	out := ParMap(8, 0, func(i int) int {
 		t.Fatal("fn called for n=0")
 		return 0
 	})
 	if len(out) != 0 {
 		t.Fatalf("len(out) = %d, want 0", len(out))
-	}
-}
-
-// TestSerialEnvOverride checks the VSOC_SERIAL escape hatch beats both the
-// Workers field and the GOMAXPROCS default.
-func TestSerialEnvOverride(t *testing.T) {
-	cfg := Config{Workers: 8}
-	if got := cfg.EffectiveWorkers(); got != 8 {
-		t.Fatalf("EffectiveWorkers = %d, want 8", got)
-	}
-	t.Setenv(SerialEnv, "1")
-	if got := cfg.EffectiveWorkers(); got != 1 {
-		t.Fatalf("EffectiveWorkers with %s=1 = %d, want 1", SerialEnv, got)
-	}
-	cfg.Workers = 0
-	if got := cfg.EffectiveWorkers(); got != 1 {
-		t.Fatalf("EffectiveWorkers default with %s=1 = %d, want 1", SerialEnv, got)
 	}
 }
 

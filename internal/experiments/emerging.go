@@ -75,53 +75,24 @@ func (r *EmergingResult) MeanLatencyOf(emu string) float64 {
 // six emulators across the five Table 1 categories.
 func RunEmergingSweep(cfg Config, machine MachineSpec) *EmergingResult {
 	emus := presets()
-	type job struct{ ei, cat, app int }
-	type result struct {
-		fps     float64
-		latMean float64
-		hasLat  bool
-		ok      bool
-	}
-	var jobs []job
-	for ei := range emus {
-		for cat := 0; cat < emulator.NumCategories; cat++ {
-			runnable := emus[ei].EmergingCompat[cat]
-			if runnable > cfg.AppsPerCategory {
-				runnable = cfg.AppsPerCategory
-			}
-			for app := 0; app < runnable; app++ {
-				jobs = append(jobs, job{ei, cat, app})
-			}
-		}
-	}
-	results := parmap(cfg.workers(), len(jobs), func(i int) result {
-		j := jobs[i]
-		sess := workload.NewSession(emus[j.ei], machine.New, appSeed(cfg.Seed, j.ei, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		r, err := workload.RunEmerging(sess.Emulator, spec)
-		if err != nil {
-			return result{}
-		}
-		res := result{fps: r.FPS, ok: true}
-		if r.Latency.Count() > 0 {
-			res.latMean, res.hasLat = r.Latency.Mean(), true
-		}
-		return res
-	})
-	out := &EmergingResult{Machine: machine.Name}
+	var runs []appRun
 	for ei, preset := range emus {
+		runs = append(runs, appsOf(cfg, preset, machine, ei, cfg.AppsPerCategory, allCats()...)...)
+	}
+	done := sweep(cfg, runs, false, func(_ *workload.Session, r *workload.Result) *workload.Result { return r })
+	out := &EmergingResult{Machine: machine.Name}
+	for _, preset := range emus {
 		for cat := 0; cat < emulator.NumCategories; cat++ {
 			cell := FPSCell{Emulator: preset.Name, Category: emulator.CategoryNames[cat]}
 			var fps float64
 			var lat metrics.Distribution
-			for i, j := range jobs {
-				if j.ei != ei || j.cat != cat || !results[i].ok {
+			for _, d := range done {
+				if d.preset.Name != preset.Name || d.cat != cat {
 					continue
 				}
-				fps += results[i].fps
-				if results[i].hasLat {
-					lat.Add(results[i].latMean)
+				fps += d.out.FPS
+				if d.out.Latency.Count() > 0 {
+					lat.Add(d.out.Latency.Mean())
 				}
 				cell.Apps++
 			}

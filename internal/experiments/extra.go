@@ -39,7 +39,7 @@ func RunServices(cfg Config) *ServicesResult {
 			jobs = append(jobs, job{cat, app})
 		}
 	}
-	traces := parmap(cfg.workers(), len(jobs), func(i int) *trace.Collector {
+	traces := ParMap(cfg.EffectiveWorkers(), len(jobs), func(i int) *trace.Collector {
 		j := jobs[i]
 		sess := workload.NewSession(emulator.VSoC(), HighEnd.New, appSeed(cfg.Seed, 700, j.cat, j.app))
 		defer sess.Close()
@@ -117,7 +117,7 @@ func (r *ProtocolResult) Of(name string) *ProtocolCell {
 // prefetch protocol follows the flow.
 func RunProtocols(cfg Config) *ProtocolResult {
 	kinds := []svm.Kind{svm.KindPrefetch, svm.KindWriteInvalidate, svm.KindBroadcast}
-	cells := parmap(cfg.workers(), len(kinds), func(ki int) ProtocolCell {
+	cells := ParMap(cfg.EffectiveWorkers(), len(kinds), func(ki int) ProtocolCell {
 		kind := kinds[ki]
 		env := sim.NewEnv(cfg.Seed + int64(kind))
 		mach := hostsim.HighEndDesktop(env)
@@ -202,42 +202,36 @@ func RunThermal(cfg Config) *ThermalResult {
 		duration = 100 * time.Second
 	}
 	const bucket = 10
-	out := &ThermalResult{BucketSeconds: bucket}
-	run := func(preset emulator.Preset) ([]float64, bool) {
-		sess := workload.NewSession(preset, MidEnd.New, cfg.Seed)
-		defer sess.Close()
-		spec := workload.DefaultSpec(emulator.CatUHDVideo, 0, duration)
-		r, err := workload.RunEmerging(sess.Emulator, spec)
-		if err != nil {
-			return nil, false
-		}
-		perSec := perSecondOf(r)
-		var buckets []float64
-		for i := 0; i+bucket <= len(perSec); i += bucket {
-			var s float64
-			for _, v := range perSec[i : i+bucket] {
-				s += v
-			}
-			buckets = append(buckets, s/bucket)
-		}
-		return buckets, sess.Machine.Thermal != nil && sess.Machine.Thermal.Throttled()
-	}
 	type thermalRun struct {
 		buckets   []float64
 		throttled bool
 	}
-	presets := []emulator.Preset{emulator.GAE(), emulator.VSoC()}
-	runs := parmap(cfg.workers(), len(presets), func(i int) thermalRun {
-		b, throttled := run(presets[i])
-		return thermalRun{buckets: b, throttled: throttled}
+	var runs []appRun
+	for _, preset := range []emulator.Preset{emulator.GAE(), emulator.VSoC()} {
+		runs = append(runs, appRun{preset: preset, machine: MidEnd, seed: cfg.Seed,
+			cat: emulator.CatUHDVideo, spec: workload.DefaultSpec(emulator.CatUHDVideo, 0, duration)})
+	}
+	done := sweep(cfg, runs, false, func(s *workload.Session, r *workload.Result) thermalRun {
+		var buckets []float64
+		for i := 0; i+bucket <= len(r.PerSecondFPS); i += bucket {
+			var sum float64
+			for _, v := range r.PerSecondFPS[i : i+bucket] {
+				sum += v
+			}
+			buckets = append(buckets, sum/bucket)
+		}
+		return thermalRun{buckets, s.Machine.Thermal != nil && s.Machine.Thermal.Throttled()}
 	})
-	out.GAE, out.GAEThrottled = runs[0].buckets, runs[0].throttled
-	out.VSoC, out.VSoCThrottled = runs[1].buckets, runs[1].throttled
+	out := &ThermalResult{BucketSeconds: bucket}
+	for _, d := range done {
+		if d.preset.Name == "GAE" {
+			out.GAE, out.GAEThrottled = d.out.buckets, d.out.throttled
+		} else {
+			out.VSoC, out.VSoCThrottled = d.out.buckets, d.out.throttled
+		}
+	}
 	return out
 }
-
-// perSecondOf extracts the per-second FPS series from a result.
-func perSecondOf(r *workload.Result) []float64 { return r.PerSecondFPS }
 
 // FormatThermal renders the degradation trajectories.
 func FormatThermal(r *ThermalResult) string {
@@ -287,7 +281,7 @@ func RunResolutionSweep(cfg Config) *ResolutionResult {
 	targets := []emulator.Preset{
 		emulator.VSoC(), emulator.LDPlayer(), emulator.Bluestacks(), emulator.Trinity(),
 	}
-	cells := parmap(cfg.workers(), len(targets)*len(resolutions), func(i int) ResolutionCell {
+	cells := ParMap(cfg.EffectiveWorkers(), len(targets)*len(resolutions), func(i int) ResolutionCell {
 		ei, ri := i/len(resolutions), i%len(resolutions)
 		preset, res := targets[ei], resolutions[ri]
 		sess := workload.NewSession(preset, HighEnd.New, appSeed(cfg.Seed, 800+ei, ri, 0))

@@ -68,39 +68,27 @@ func mergeStats(merged, st *svm.Stats) {
 func RunTable2(cfg Config) *Table2Result {
 	machines := []MachineSpec{HighEnd, MidEnd}
 	targets := []emulator.Preset{emulator.VSoC(), emulator.GAE(), emulator.QEMUKVM()}
-	type job struct{ mi, ti, cat int }
-	var jobs []job
-	for mi := range machines {
-		for ti := range targets {
-			for cat := 0; cat < emulator.NumCategories; cat++ {
-				if targets[ti].EmergingCompat[cat] == 0 {
-					continue
-				}
-				jobs = append(jobs, job{mi, ti, cat})
+	var runs []appRun
+	for mi, machine := range machines {
+		for ti, preset := range targets {
+			// One app per supported category, under Table 2's own seeds.
+			for _, run := range appsOf(cfg, preset, machine, 0, 1, allCats()...) {
+				run.seed = cfg.Seed + int64(mi*1000+ti*100) + int64(run.cat)
+				runs = append(runs, run)
 			}
 		}
 	}
-	stats := parmap(cfg.workers(), len(jobs), func(i int) *svm.Stats {
-		j := jobs[i]
-		seed := cfg.Seed + int64(j.mi*1000+j.ti*100) + int64(j.cat)
-		sess := workload.NewSession(targets[j.ti], machines[j.mi].New, seed)
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, 0, cfg.Duration)
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return nil
-		}
-		return sess.SVMStats()
-	})
+	done := sweep(cfg, runs, false, svmStats)
 	out := &Table2Result{}
-	for mi, machine := range machines {
-		for ti, preset := range targets {
+	for _, machine := range machines {
+		for _, preset := range targets {
 			merged := &svm.Stats{}
 			var total time.Duration
-			for i, j := range jobs {
-				if j.mi != mi || j.ti != ti || stats[i] == nil {
+			for _, d := range done {
+				if d.machine.Name != machine.Name || d.preset.Name != preset.Name {
 					continue
 				}
-				mergeStats(merged, stats[i])
+				mergeStats(merged, d.out)
 				total += cfg.Duration
 			}
 			row := SVMPerf{
@@ -119,6 +107,10 @@ func RunTable2(cfg Config) *Table2Result {
 	return out
 }
 
+// svmStats is the sweep collector for drivers that fold only the session's
+// SVM statistics.
+func svmStats(s *workload.Session, _ *workload.Result) *svm.Stats { return s.SVMStats() }
+
 // PredictionResult is the §5.2 prediction-quality report.
 type PredictionResult struct {
 	// DeviceAccuracy per category (paper: 99-100%).
@@ -134,41 +126,23 @@ type PredictionResult struct {
 // RunPrediction reproduces the §5.2 prediction-accuracy measurements on the
 // high-end machine.
 func RunPrediction(cfg Config) *PredictionResult {
-	preset := emulator.VSoC()
-	type job struct{ cat, app int }
 	type result struct {
 		st   *svm.Stats
 		susp int
 	}
-	var jobs []job
-	for cat := 0; cat < emulator.NumCategories; cat++ {
-		apps := preset.EmergingCompat[cat]
-		if apps > cfg.AppsPerCategory {
-			apps = cfg.AppsPerCategory
-		}
-		for app := 0; app < apps; app++ {
-			jobs = append(jobs, job{cat, app})
-		}
-	}
-	results := parmap(cfg.workers(), len(jobs), func(i int) result {
-		j := jobs[i]
-		sess := workload.NewSession(preset, HighEnd.New, appSeed(cfg.Seed, 400, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return result{}
-		}
-		return result{st: sess.SVMStats(), susp: sess.Emulator.Manager.Engine().Suspensions()}
+	runs := appsOf(cfg, emulator.VSoC(), HighEnd, 400, cfg.AppsPerCategory, allCats()...)
+	done := sweep(cfg, runs, false, func(s *workload.Session, _ *workload.Result) result {
+		return result{st: s.SVMStats(), susp: s.Emulator.Manager.Engine().Suspensions()}
 	})
 	out := &PredictionResult{DeviceAccuracy: make(map[string]float64)}
 	var slackErr, pfErr metrics.Distribution
 	for cat := 0; cat < emulator.NumCategories; cat++ {
 		var correct, total int
-		for i, j := range jobs {
-			if j.cat != cat || results[i].st == nil {
+		for _, d := range done {
+			if d.cat != cat {
 				continue
 			}
-			r := results[i]
+			r := d.out
 			correct += r.st.PredCorrect
 			total += r.st.PredTotal
 			out.Suspensions += r.susp
@@ -213,7 +187,7 @@ func RunOverhead(cfg Config) *OverheadResult {
 	if cfg.Metrics {
 		reg = obs.NewRegistry()
 	}
-	sess := workload.NewObservedSession(emulator.VSoC(), HighEnd.New, cfg.Seed, tr, reg)
+	sess := workload.NewObservedSession(emulator.VSoC(), HighEnd.New, cfg.Seed, tr, reg, nil)
 	defer sess.Close()
 	out := &OverheadResult{}
 	finishObs := func() {
@@ -252,48 +226,16 @@ type Fig16Result struct {
 // the prefetch engine replaced by write-invalidate, on the video apps whose
 // render threads the coherence blocks.
 func RunFig16(cfg Config) *Fig16Result {
+	return runVideoProbe(cfg, fig16Preset(cfg), false).Fig16
+}
+
+// fig16Preset is the Fig. 16 emulator: vSoC with write-invalidate in place
+// of the prefetch engine, and chunked demand fetches when Config.Fetch is
+// set.
+func fig16Preset(cfg Config) emulator.Preset {
 	preset := emulator.VSoCNoPrefetch()
 	if cfg.Fetch {
 		preset.Fetch = hostsim.EnabledFetch()
 	}
-	return runFig16Preset(cfg, preset)
-}
-
-// runFig16Preset is RunFig16's body with the preset injectable, so the
-// batching sweep can rerun the demand-fetch-heavy workload with batching on
-// as its latency guardrail.
-func runFig16Preset(cfg Config, preset emulator.Preset) *Fig16Result {
-	type job struct{ cat, app int }
-	var jobs []job
-	for _, cat := range []int{emulator.CatUHDVideo, emulator.Cat360Video} {
-		apps := cfg.AppsPerCategory
-		if apps > preset.EmergingCompat[cat] {
-			apps = preset.EmergingCompat[cat]
-		}
-		for app := 0; app < apps; app++ {
-			jobs = append(jobs, job{cat, app})
-		}
-	}
-	stats := parmap(cfg.workers(), len(jobs), func(i int) *svm.Stats {
-		j := jobs[i]
-		sess := workload.NewSession(preset, HighEnd.New, appSeed(cfg.Seed, 500, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return nil
-		}
-		return sess.SVMStats()
-	})
-	var all metrics.Distribution
-	for _, st := range stats {
-		if st != nil {
-			all.Merge(&st.AccessLatency)
-		}
-	}
-	return &Fig16Result{
-		CDF:    all.CDF(40),
-		MeanMS: all.Mean(),
-		P99MS:  all.Percentile(99),
-		MaxMS:  all.Max(),
-	}
+	return preset
 }

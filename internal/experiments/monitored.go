@@ -144,7 +144,7 @@ func RunPhasedLoad(cfg Config) *PhasedLoadResult {
 	tr.SetLimit(4096)
 	pf := prof.New()
 	seed := appSeed(cfg.Seed, 950, emulator.CatLivestream, 0)
-	sess := workload.NewProfiledSession(emulator.VSoC(), HighEnd.New, seed, tr, nil, pf)
+	sess := workload.NewObservedSession(emulator.VSoC(), HighEnd.New, seed, tr, nil, pf)
 	defer sess.Close()
 
 	// Detector set: the stock registry plus a drift detector on DMA traffic

@@ -1,60 +1,39 @@
 package experiments
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// The Run* drivers all share one shape: a nest of loops over
-// (machine, emulator, category, app) tuples, each iteration simulating one
-// app session on a private sim.Env and folding its statistics into the
-// result. The sessions never touch shared state — every package-level
-// variable they read (presets, name tables, workload mixes) is immutable —
-// so the tuples can run on any goroutine in any order. Determinism is
-// preserved by separating execution from aggregation: parmap stores each
-// tuple's result at its tuple index, and the driver then merges the slice in
-// the original loop order. The output is byte-identical to the serial path;
-// only wall-clock time changes.
+// The Run* drivers all share one shape: a set of (machine, emulator,
+// category, app) tuples, each simulating one app session on a private
+// sim.Env and folding its statistics into the result. Most drivers list
+// their tuples as appRuns and hand them to sweep (sweep.go). The sessions
+// never touch shared state — every package-level variable they read
+// (presets, name tables, workload mixes) is immutable — so the tuples can
+// run on any goroutine in any order. Determinism is preserved by separating
+// execution from aggregation: ParMap stores each tuple's result at its tuple
+// index, and the driver then merges the slice in the original loop order.
+// The output is byte-identical to the serial path; only wall-clock time
+// changes.
 
-// SerialEnv is an environment variable that forces every experiment runner
-// onto the single-worker path when set to "1", overriding Config.Workers.
-// It exists for A/B-testing the fan-out itself.
-const SerialEnv = "VSOC_SERIAL"
-
-// workers resolves the worker count for a run: the VSOC_SERIAL escape hatch
-// first, then Config.Workers, then one worker per CPU.
-func (c Config) workers() int {
-	if os.Getenv(SerialEnv) == "1" {
-		return 1
-	}
+// EffectiveWorkers reports the concurrency the Run* drivers use for this
+// configuration: Config.Workers, else one worker per CPU.
+func (c Config) EffectiveWorkers() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// EffectiveWorkers reports the concurrency the Run* drivers will actually
-// use for this configuration, after the VSOC_SERIAL and GOMAXPROCS defaults
-// are applied.
-func (c Config) EffectiveWorkers() int { return c.workers() }
-
-// ParMap exposes the fan-out pool to sibling drivers: the internal/tune
-// search evaluates candidate batches through it (each candidate's inner run
-// serial, candidates in parallel), with the same determinism contract as
-// the experiment drivers — results land at their argument index, callers
-// merge in order, output is independent of worker count.
-func ParMap[R any](workers, n int, fn func(int) R) []R {
-	return parmap(workers, n, fn)
-}
-
-// parmap evaluates fn(0) … fn(n-1) on at most workers goroutines and
+// ParMap evaluates fn(0) … fn(n-1) on at most workers goroutines and
 // returns the results indexed by argument. fn must derive everything from
 // its index (no iteration-order dependence); callers then merge out[0..n-1]
 // sequentially to get serial-identical aggregates. workers <= 1 degenerates
-// to a plain loop on the calling goroutine.
-func parmap[R any](workers, n int, fn func(int) R) []R {
+// to a plain loop on the calling goroutine. Besides the experiment drivers,
+// the internal/tune search evaluates candidate batches through it.
+func ParMap[R any](workers, n int, fn func(int) R) []R {
 	out := make([]R, n)
 	if workers > n {
 		workers = n

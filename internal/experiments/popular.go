@@ -52,7 +52,7 @@ func RunPopular(cfg Config) *PopularResult {
 			jobs = append(jobs, job{ei, app})
 		}
 	}
-	results := parmap(cfg.workers(), len(jobs), func(i int) result {
+	results := ParMap(cfg.EffectiveWorkers(), len(jobs), func(i int) result {
 		j := jobs[i]
 		kind := mix[j.app]
 		sess := workload.NewSession(emus[j.ei], HighEnd.New, appSeed(cfg.Seed, 300+j.ei, int(kind), j.app))

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/emulator"
-	"repro/internal/hostsim"
 	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/svm"
@@ -29,59 +28,42 @@ type MicroResult struct {
 // RunMicro reruns the Fig. 16 workload (write-invalidate video on the
 // high-end machine) with a per-session critical-path profiler. Sessions
 // use the same seeds as RunFig16, so its stats are byte-identical to a
-// profiler-off run; per-session reports merge in fixed job order, so the
+// profiler-off run; per-session reports merge in fixed run order, so the
 // result is independent of worker count.
 func RunMicro(cfg Config) *MicroResult {
-	preset := emulator.VSoCNoPrefetch()
-	if cfg.Fetch {
-		preset.Fetch = hostsim.EnabledFetch()
-	}
-	return runMicroPreset(cfg, preset)
+	return runVideoProbe(cfg, fig16Preset(cfg), true)
 }
 
-// runMicroPreset is RunMicro's body with the preset injectable, so the
-// fetchpipe sweep can rerun the same jobs across chunked-fetch settings.
-func runMicroPreset(cfg Config, preset emulator.Preset) *MicroResult {
-	type job struct{ cat, app int }
-	var jobs []job
-	for _, cat := range []int{emulator.CatUHDVideo, emulator.Cat360Video} {
-		apps := cfg.AppsPerCategory
-		if apps > preset.EmergingCompat[cat] {
-			apps = preset.EmergingCompat[cat]
-		}
-		for app := 0; app < apps; app++ {
-			jobs = append(jobs, job{cat, app})
-		}
-	}
+// videoProbe lists the Fig. 16 probe runs: preset's UHD and 360 video apps
+// on the high-end machine, seeded under seedIdx.
+func videoProbe(cfg Config, preset emulator.Preset, seedIdx int) []appRun {
+	return appsOf(cfg, preset, HighEnd, seedIdx, cfg.AppsPerCategory,
+		emulator.CatUHDVideo, emulator.Cat360Video)
+}
+
+// runVideoProbe runs the Fig. 16 probe on preset, with the critical-path
+// profiler attached when profile is set (Report stays empty otherwise).
+// The batching guardrail, the fetchpipe sweep, and RunFig16/RunMicro all
+// share it; the profiler never perturbs the simulation, so Fig16 is the
+// same with it on or off.
+func runVideoProbe(cfg Config, preset emulator.Preset, profile bool) *MicroResult {
 	type out struct {
 		st  *svm.Stats
 		rep *prof.Report
 	}
-	outs := parmap(cfg.workers(), len(jobs), func(i int) out {
-		j := jobs[i]
-		pf := prof.New()
-		sess := workload.NewProfiledSession(preset, HighEnd.New,
-			appSeed(cfg.Seed, 500, j.cat, j.app), nil, nil, pf)
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return out{}
-		}
-		return out{st: sess.SVMStats(), rep: pf.Report()}
+	done := sweep(cfg, videoProbe(cfg, preset, 500), profile, func(s *workload.Session, _ *workload.Result) out {
+		return out{st: s.SVMStats(), rep: s.Env.Profiler().Report()}
 	})
 	var all metrics.Distribution
 	merged := prof.New().Report()
 	res := &MicroResult{}
-	for i, o := range outs {
-		if o.st == nil {
-			continue
-		}
-		all.Merge(&o.st.AccessLatency)
-		res.DemandFetches += o.st.DemandFetches
-		res.ChunkedFetches += o.st.ChunkedFetches
-		res.FetchJoins += o.st.FetchJoins
-		o.rep.Retag(fmt.Sprintf("%s/%d", emulator.CategoryNames[jobs[i].cat], jobs[i].app))
-		merged.Merge(o.rep)
+	for _, d := range done {
+		all.Merge(&d.out.st.AccessLatency)
+		res.DemandFetches += d.out.st.DemandFetches
+		res.ChunkedFetches += d.out.st.ChunkedFetches
+		res.FetchJoins += d.out.st.FetchJoins
+		d.out.rep.Retag(fmt.Sprintf("%s/%d", emulator.CategoryNames[d.cat], d.app))
+		merged.Merge(d.out.rep)
 	}
 	res.Fig16 = &Fig16Result{
 		CDF:    all.CDF(40),

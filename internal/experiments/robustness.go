@@ -110,7 +110,7 @@ func RunRobustnessOn(cfg Config, machine MachineSpec, emus []emulator.Preset, cl
 			jobs = append(jobs, job{ei, ci})
 		}
 	}
-	cells := parmap(cfg.workers(), len(jobs), func(k int) RobustnessCell {
+	cells := ParMap(cfg.EffectiveWorkers(), len(jobs), func(k int) RobustnessCell {
 		j := jobs[k]
 		return runRobustnessCell(cfg, machine, emus[j.ei], j.ei, classes[j.ci], j.ci,
 			dur, faultAt, faultFor)
@@ -130,7 +130,7 @@ func runRobustnessCell(cfg Config, machine MachineSpec, preset emulator.Preset,
 	preset.DeviceWatchdog = robustnessWatchdog
 	seed := appSeed(cfg.Seed, 900+ei, ci, 0)
 	tr, reg := cellObs(cfg, faultAt, faultFor)
-	sess := workload.NewObservedSession(preset, machine.New, seed, tr, reg)
+	sess := workload.NewObservedSession(preset, machine.New, seed, tr, reg, nil)
 	defer sess.Close()
 	mach := sess.Machine
 

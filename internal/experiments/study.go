@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/emulator"
 	"repro/internal/metrics"
-	"repro/internal/svm"
 	"repro/internal/workload"
 )
 
@@ -73,44 +72,27 @@ func RunStudy(cfg Config) *StudyResult {
 		{emulator.GAE(), HighEnd},
 		{emulator.QEMUKVM(), HighEnd},
 	}
-	type job struct{ pi, cat, app int }
-	var jobs []job
+	var runs []appRun
 	for pi, plat := range platforms {
-		for cat := 0; cat < emulator.NumCategories; cat++ {
-			apps := cfg.AppsPerCategory
-			if apps > plat.preset.EmergingCompat[cat] {
-				apps = plat.preset.EmergingCompat[cat]
-			}
-			for app := 0; app < apps; app++ {
-				jobs = append(jobs, job{pi, cat, app})
-			}
+		for _, run := range appsOf(cfg, plat.preset, plat.machine, 600+pi, cfg.AppsPerCategory, allCats()...) {
+			// The §2.3 study ran Full-HD+ panels (2400x1080), which is where
+			// Fig. 4's 9.9 MiB display-buffer mode comes from; the UHD panels
+			// belong to §5's evaluation.
+			run.spec.DisplayW, run.spec.DisplayH = workload.FHDPWidth, workload.FHDPHeight
+			runs = append(runs, run)
 		}
 	}
-	stats := parmap(cfg.workers(), len(jobs), func(i int) *svm.Stats {
-		j := jobs[i]
-		plat := platforms[j.pi]
-		sess := workload.NewSession(plat.preset, plat.machine.New, appSeed(cfg.Seed, 600+j.pi, j.cat, j.app))
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		// The §2.3 study ran Full-HD+ panels (2400x1080), which is where
-		// Fig. 4's 9.9 MiB display-buffer mode comes from; the UHD panels
-		// belong to §5's evaluation.
-		spec.DisplayW, spec.DisplayH = workload.FHDPWidth, workload.FHDPHeight
-		if _, err := workload.RunEmerging(sess.Emulator, spec); err != nil {
-			return nil
-		}
-		return sess.SVMStats()
-	})
+	done := sweep(cfg, runs, false, svmStats)
 	out := &StudyResult{Table1: Table1()}
-	for pi, plat := range platforms {
+	for _, plat := range platforms {
 		trace := PlatformTrace{Platform: plat.preset.Name}
 		var accesses int
 		var total time.Duration
-		for i, j := range jobs {
-			if j.pi != pi || stats[i] == nil {
+		for _, d := range done {
+			if d.preset.Name != plat.preset.Name {
 				continue
 			}
-			st := stats[i]
+			st := d.out
 			trace.RegionSizes.Merge(&st.RegionSizes)
 			trace.CoherenceCost.Merge(&st.CoherenceCost)
 			trace.SlackIntervals.Merge(&st.SlackIntervals)

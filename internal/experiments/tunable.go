@@ -67,45 +67,23 @@ const (
 // knob family at once — demand fetches (chunking), coherence pushes and
 // device notifications (batching), and, on prefetch-protocol presets, the
 // engine's suspension heuristics. Sessions fan out over Config.Workers and
-// merge in job order, so equal (preset, tunable, seed) triples produce
+// merge in run order, so equal (preset, tunable, seed) triples produce
 // byte-identical metrics at every worker count.
 func RunTuneEval(cfg Config, preset emulator.Preset, t Tunable) []BenchMetric {
-	preset = t.ApplyTo(preset)
-	type job struct{ cat, app int }
-	var jobs []job
-	for _, cat := range []int{emulator.CatUHDVideo, emulator.Cat360Video} {
-		apps := cfg.AppsPerCategory
-		if apps > preset.EmergingCompat[cat] {
-			apps = preset.EmergingCompat[cat]
-		}
-		for app := 0; app < apps; app++ {
-			jobs = append(jobs, job{cat, app})
-		}
-	}
 	type out struct {
 		st  *svm.Stats
 		rep *prof.Report
 		res *workload.Result
 		// Notification accounting (the batching-sweep formula).
-		ops, kicks, irqs, piggy int
+		ops, kicks, irqs int
 	}
-	outs := parmap(cfg.workers(), len(jobs), func(i int) out {
-		j := jobs[i]
-		pf := prof.New()
-		sess := workload.NewProfiledSession(preset, HighEnd.New,
-			appSeed(cfg.Seed, 900, j.cat, j.app), nil, nil, pf)
-		defer sess.Close()
-		spec := workload.DefaultSpec(j.cat, j.app, cfg.Duration)
-		res, err := workload.RunEmerging(sess.Emulator, spec)
-		if err != nil {
-			return out{}
-		}
-		o := out{st: sess.SVMStats(), rep: pf.Report(), res: res}
-		for _, d := range sess.Emulator.Devices() {
+	runs := videoProbe(cfg, t.ApplyTo(preset), 900)
+	done := sweep(cfg, runs, true, func(s *workload.Session, res *workload.Result) out {
+		o := out{st: s.SVMStats(), rep: s.Env.Profiler().Report(), res: res}
+		for _, d := range s.Emulator.Devices() {
 			o.ops += d.Stats().Executed
 			o.kicks += d.Ring().Stats().Kicks
 			o.irqs += d.IRQ().Delivered()
-			o.piggy += d.PiggybackedFences()
 		}
 		return o
 	})
@@ -114,13 +92,10 @@ func RunTuneEval(cfg Config, preset emulator.Preset, t Tunable) []BenchMetric {
 	merged := prof.New().Report()
 	st := &svm.Stats{}
 	var fpsSum float64
-	var frames, sessions int
+	var frames int
 	var ops, notifs int
-	for _, o := range outs {
-		if o.st == nil {
-			continue
-		}
-		sessions++
+	for _, d := range done {
+		o := d.out
 		access.Merge(&o.st.AccessLatency)
 		mergeStats(st, o.st)
 		st.CoherenceBatches += o.st.CoherenceBatches
@@ -138,7 +113,7 @@ func RunTuneEval(cfg Config, preset emulator.Preset, t Tunable) []BenchMetric {
 		{Name: TuneAccessP99, Value: access.Percentile(99), Unit: "ms", Better: "lower"},
 		{Name: TuneFrames, Value: float64(frames), Unit: "count", Better: "higher"},
 	}
-	if sessions > 0 {
+	if sessions := len(done); sessions > 0 {
 		ms = append(ms, BenchMetric{Name: TuneFPS, Value: fpsSum / float64(sessions), Unit: "fps", Better: "higher"})
 		ms = append(ms, BenchMetric{Name: TuneThroughput,
 			Value: st.Throughput(time.Duration(sessions)*cfg.Duration) / 1e9, Unit: "GB/s", Better: "higher"})
