@@ -8,8 +8,8 @@ GOFMT ?= gofmt
 # BENCH is the bench trajectory file this tree writes (BENCH.json +
 # BENCH.folded); BENCH_BASE is the committed trajectory perf-gate diffs it
 # against. Bump both here, nowhere else.
-BENCH ?= BENCH_PR15
-BENCH_BASE ?= BENCH_PR14
+BENCH ?= BENCH_PR16
+BENCH_BASE ?= BENCH_PR15
 
 .PHONY: check build vet fmt-check test docs-check hostbench-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
 
@@ -37,8 +37,9 @@ hostbench-check:
 # Documentation gate: every internal package doc must name its paper section
 # and determinism contract, README/DESIGN/EXPERIMENTS must not reference
 # paths that left the tree, DESIGN.md §14 must name every knob the
-# internal/tune registry declares, and EXPERIMENTS.md must document every
-# experiment the internal/experiments registry declares.
+# internal/tune registry declares, EXPERIMENTS.md must document every
+# experiment the internal/experiments registry declares, and every internal/
+# package must be imported by a non-test file outside its own directory.
 docs-check:
 	$(GO) run ./cmd/docscheck .
 

@@ -1,6 +1,6 @@
 // Command docscheck lints the repository's documentation contract.
 //
-// Four checks:
+// Five checks:
 //
 //  1. Every package under internal/ must carry a package doc comment that
 //     names the paper section it reproduces (a "§" reference) and states
@@ -23,11 +23,17 @@
 //     has to appear, so a new experiment cannot ship without its entry.
 //     Like check 3, this lints against the live compiled registry.
 //
+//  5. Every package under internal/ that has non-test files must be
+//     imported by a non-test file outside its own directory, searching
+//     cmd/, internal/, examples/ and hostbench/. A package only its own
+//     tests reach is code no run executes: wire it into a run or delete it.
+//
 // Usage: docscheck [repo root] (defaults to "."). Exits non-zero with one
 // line per violation; prints nothing on success.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/parser"
 	"go/token"
@@ -36,6 +42,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
@@ -52,6 +59,7 @@ func main() {
 	problems = append(problems, checkMarkdownRefs(root)...)
 	problems = append(problems, checkKnobDocs(root)...)
 	problems = append(problems, checkExperimentDocs(root)...)
+	problems = append(problems, checkOrphanPackages(root)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -183,6 +191,83 @@ func checkExperimentDocs(root string) []string {
 		}
 	}
 	return problems
+}
+
+// importRoots are the trees whose non-test files count as importers for
+// checkOrphanPackages. hostbench is its own module but imports this one.
+var importRoots = []string{"cmd", "internal", "examples", "hostbench"}
+
+// checkOrphanPackages reports every internal/ package with non-test files
+// that no non-test file outside its own directory imports.
+func checkOrphanPackages(root string) []string {
+	mod, err := modulePath(root)
+	if err != nil {
+		return []string{fmt.Sprintf("go.mod: %v", err)}
+	}
+	// pkgs maps each internal package's import path to its directory.
+	pkgs := map[string]string{}
+	imported := map[string]bool{}
+	for _, top := range importRoots {
+		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				if d == nil && errors.Is(err, fs.ErrNotExist) {
+					return fs.SkipDir // this tree has no such root
+				}
+				return err
+			}
+			if d.IsDir() {
+				if d.Name() == "testdata" {
+					return fs.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			dir := filepath.Dir(path)
+			if top == "internal" {
+				pkgs[mod+"/"+filepath.ToSlash(rel(root, dir))] = dir
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			// A package cannot import itself, so every import from a
+			// non-test file comes from outside the imported package.
+			for _, imp := range f.Imports {
+				if p, err := strconv.Unquote(imp.Path.Value); err == nil {
+					imported[p] = true
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return []string{fmt.Sprintf("docscheck: walking %s/: %v", top, err)}
+		}
+	}
+	var problems []string
+	for p, dir := range pkgs {
+		if !imported[p] {
+			problems = append(problems, fmt.Sprintf(
+				"%s: package has no importer outside its own directory; wire it into a run or delete it", rel(root, dir)))
+		}
+	}
+	sort.Strings(problems)
+	return problems
+}
+
+// modulePath reads the module path from root's go.mod.
+func modulePath(root string) (string, error) {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return f[1], nil
+		}
+	}
+	return "", errors.New("no module line")
 }
 
 func rel(root, path string) string {

@@ -28,7 +28,9 @@
 //
 // `-exp all` runs every registered experiment marked InAll, so its output
 // stays comparable across builds; -h lists the ones it skips. -trace and
-// -profile exit 2 when no selected experiment would honor them.
+// -profile exit 2 when no selected experiment would honor them, as does a
+// non-positive -duration or -apps, or a negative -popular, -workers or
+// -shards.
 //
 // -fleet enables the fleet/scheduler observability layer (DESIGN.md §13)
 // for the shardscale farm: per-tenant QoS/SLO tracking, the deterministic
@@ -94,16 +96,6 @@ func main() {
 	}
 	flag.Parse()
 
-	entries, labels, err := selectExperiments(*exp)
-	if err == nil {
-		err = checkIgnored(entries, *tracePath, *profilePath)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	cfg := experiments.Config{
 		Duration:        *duration,
 		AppsPerCategory: *apps,
@@ -118,6 +110,12 @@ func main() {
 		Fleet:           *fleet,
 		Monitor:         *mon,
 		MonPath:         *monOut,
+	}
+	entries, labels, err := checkArgs(*exp, cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	wallStart := time.Now()
@@ -143,6 +141,21 @@ func main() {
 		fmt.Printf("[bench report written to %s]\n", *jsonPath)
 	}
 	fmt.Printf("[total %.1fs, %d workers]\n", time.Since(wallStart).Seconds(), cfg.EffectiveWorkers())
+}
+
+// checkArgs resolves -exp and rejects a command line that would run nothing
+// useful: an unknown experiment, -trace or -profile that no selected
+// experiment honors, or a configuration Validate rejects (e.g. -apps 0
+// or -duration -1s, which would print an all-n/a table).
+func checkArgs(exp string, cfg experiments.Config) ([]experiments.Entry, []string, error) {
+	entries, labels, err := selectExperiments(exp)
+	if err == nil {
+		err = checkIgnored(entries, cfg.TracePath, cfg.ProfilePath)
+	}
+	if err == nil {
+		err = cfg.Validate()
+	}
+	return entries, labels, err
 }
 
 // selectExperiments resolves -exp: "all" selects every InAll entry in

@@ -3,6 +3,7 @@ package main
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 )
@@ -71,6 +72,38 @@ func TestCheckIgnored(t *testing.T) {
 		err = checkIgnored(entries, c.trace, c.profile)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: checkIgnored = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+func TestCheckArgs(t *testing.T) {
+	// defaults mirrors the flag defaults main builds its Config from.
+	defaults := experiments.Config{Duration: 30 * time.Second, AppsPerCategory: 10, PopularApps: 25, Seed: 1}
+	with := func(f func(*experiments.Config)) experiments.Config {
+		c := defaults
+		f(&c)
+		return c
+	}
+	cases := []struct {
+		name string
+		exp  string
+		cfg  experiments.Config
+		ok   bool
+	}{
+		{"defaults", "all", defaults, true},
+		{"serial, no popular apps", "fig10", with(func(c *experiments.Config) { c.Workers, c.PopularApps = 1, 0 }), true},
+		{"-apps 0", "fig10", with(func(c *experiments.Config) { c.AppsPerCategory = 0 }), false},
+		{"-duration -1s", "fig10", with(func(c *experiments.Config) { c.Duration = -time.Second }), false},
+		{"-duration 0", "table2", with(func(c *experiments.Config) { c.Duration = 0 }), false},
+		{"-popular -1", "fig14", with(func(c *experiments.Config) { c.PopularApps = -1 }), false},
+		{"-shards -2", "shardscale", with(func(c *experiments.Config) { c.Shards = -2 }), false},
+		{"-workers -3", "all", with(func(c *experiments.Config) { c.Workers = -3 }), false},
+		{"unknown experiment", "nope", defaults, false},
+		{"ignored -profile", "fig16", with(func(c *experiments.Config) { c.ProfilePath = "out.folded" }), false},
+	}
+	for _, c := range cases {
+		if _, _, err := checkArgs(c.exp, c.cfg); (err == nil) != c.ok {
+			t.Errorf("%s: checkArgs = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }

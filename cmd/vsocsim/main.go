@@ -28,7 +28,8 @@
 // the report is byte-identical at every -shards count. Observe-only like
 // -fleet. -monout writes the machine-readable monitor report for
 // cmd/vsocmon to render. A flag the run would ignore (-fleet without
-// -shards, -monout without -mon) is a usage error, exit 2.
+// -shards, -monout without -mon), a non-positive -duration and a negative
+// -shards are usage errors, exit 2.
 package main
 
 import (
@@ -77,7 +78,7 @@ func main() {
 	mon := flag.Bool("mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
 	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
 	flag.Parse()
-	if err := checkFlags(*shards, *fleet, *mon, *monOut); err != nil {
+	if err := checkFlags(*duration, *shards, *fleet, *mon, *monOut); err != nil {
 		fmt.Fprintln(os.Stderr, "vsocsim:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -165,8 +166,15 @@ func main() {
 	}
 }
 
-// checkFlags rejects flag combinations the run would silently ignore.
-func checkFlags(shards int, fleet, mon bool, monOut string) error {
+// checkFlags rejects flag values no run can use and flag combinations the
+// run would silently ignore.
+func checkFlags(duration time.Duration, shards int, fleet, mon bool, monOut string) error {
+	if duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %v", duration)
+	}
+	if shards < 0 {
+		return fmt.Errorf("-shards must not be negative, got %d", shards)
+	}
 	if fleet && shards <= 0 {
 		return errors.New("-fleet needs farm mode (-shards N)")
 	}

@@ -47,8 +47,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
 	cfg := experiments.Config{Duration: *duration, AppsPerCategory: *apps, Seed: *seed}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "vsoctrace:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	study := experiments.RunStudy(cfg)
 
 	switch *fig {

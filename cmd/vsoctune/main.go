@@ -72,6 +72,11 @@ func main() {
 		Seed:            *seed,
 		Workers:         *workers,
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "vsoctune:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	opts := tune.Options{
 		Seed:        *seed,
 		Budget:      *budget,

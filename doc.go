@@ -10,7 +10,7 @@
 //   - internal/hypergraph the twin hypergraphs of the SVM Manager (§3.2)
 //   - internal/prefetch   the prefetch engine: prediction + adaptive synchronism (§3.3)
 //   - internal/svm        the SVM Manager, coherence protocols, and Fig. 3 HAL
-//   - internal/fence      virtual command fences and physical fence tables (§3.4)
+//   - internal/fence      virtual command fences (§3.4)
 //   - internal/flowcontrol MIMD flow control pacing guest dispatch
 //   - internal/device     the paravirtual virtual-device framework
 //   - internal/guest      guest OS mechanisms: VSync, BufferQueues

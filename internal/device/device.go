@@ -167,7 +167,6 @@ type Device struct {
 
 	mgr  *svm.Manager
 	cfg  Config
-	env  *sim.Env
 	ring *virtio.Ring
 	irq  *virtio.IRQLine
 	ftab *fence.Table
@@ -219,7 +218,6 @@ func New(env *sim.Env, mgr *svm.Manager, name string, vid, pid hypergraph.NodeID
 		Name:   name,
 		mgr:    mgr,
 		cfg:    cfg,
-		env:    env,
 		ring:   virtio.NewRing(env, name+"-vq", cfg.Transport),
 		irq:    virtio.NewIRQLine(env, name+"-irq", cfg.Transport),
 		ftab:   ftab,
@@ -264,9 +262,6 @@ func (d *Device) Accessor() svm.Accessor {
 // VirtualID returns the device's virtual node ID.
 func (d *Device) VirtualID() hypergraph.NodeID { return d.vid }
 
-// PhysicalID returns the current physical mapping's node ID.
-func (d *Device) PhysicalID() hypergraph.NodeID { return d.pid }
-
 // Domain returns the device's current local memory domain.
 func (d *Device) Domain() *hostsim.Domain { return d.domain }
 
@@ -299,9 +294,6 @@ func (d *Device) IRQ() *virtio.IRQLine { return d.irq }
 
 // batching reports whether the notification-batching layer is on.
 func (d *Device) batching() bool { return d.cfg.Transport.Batch.Enabled }
-
-// QueueDepth returns pending host commands.
-func (d *Device) QueueDepth() int { return d.ring.Pending() }
 
 // Submit dispatches op from guest driver context p and returns its ticket.
 // Blocking behaviour depends on the ordering mode:

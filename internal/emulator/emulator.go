@@ -273,8 +273,3 @@ func (e *Emulator) ISPCost(mp float64) time.Duration {
 func (e *Emulator) GPU3DCost() time.Duration {
 	return time.Duration(float64(e.Machine.Perf.GPU3DFrame) * e.Preset.GPUCostFactor)
 }
-
-// UICost returns the ordinary UI frame cost.
-func (e *Emulator) UICost() time.Duration {
-	return time.Duration(float64(e.Machine.Perf.UIFrame) * e.Preset.GPUCostFactor)
-}

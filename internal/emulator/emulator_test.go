@@ -154,9 +154,6 @@ func TestCostHelpersScaleWithPresetFactors(t *testing.T) {
 	if vsoc.ISPCost(uhdMP) >= gae.ISPCost(uhdMP)*10 {
 		t.Fatal("ISP costs out of range")
 	}
-	if vsoc.UICost() <= 0 {
-		t.Fatal("UICost must be positive")
-	}
 }
 
 func TestNativeDevicePresetOnPixel(t *testing.T) {

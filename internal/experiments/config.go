@@ -11,6 +11,8 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/emulator"
@@ -82,20 +84,33 @@ type Config struct {
 	MonPath string
 }
 
+// Validate rejects configurations no experiment can run meaningfully: a
+// non-positive Duration or AppsPerCategory simulates nothing and would
+// print an all-n/a table, and negative counts have no meaning. It reports
+// every problem, not just the first.
+func (c Config) Validate() error {
+	var errs []error
+	if c.Duration <= 0 {
+		errs = append(errs, fmt.Errorf("duration must be positive, got %v", c.Duration))
+	}
+	if c.AppsPerCategory < 1 {
+		errs = append(errs, fmt.Errorf("apps per category must be at least 1, got %d", c.AppsPerCategory))
+	}
+	if c.PopularApps < 0 {
+		errs = append(errs, fmt.Errorf("popular apps must not be negative, got %d", c.PopularApps))
+	}
+	if c.Workers < 0 {
+		errs = append(errs, fmt.Errorf("workers must not be negative, got %d", c.Workers))
+	}
+	if c.Shards < 0 {
+		errs = append(errs, fmt.Errorf("shards must not be negative, got %d", c.Shards))
+	}
+	return errors.Join(errs...)
+}
+
 // Quick returns a configuration suitable for tests and benchmarks.
 func Quick() Config {
 	return Config{Duration: 10 * time.Second, AppsPerCategory: 2, PopularApps: 6, Seed: 1}
-}
-
-// Standard returns the configuration used for EXPERIMENTS.md numbers.
-func Standard() Config {
-	return Config{Duration: 30 * time.Second, AppsPerCategory: 10, PopularApps: 25, Seed: 1}
-}
-
-// Full mirrors the paper's methodology most closely (5-minute runs expose
-// the laptop thermal story in full).
-func Full() Config {
-	return Config{Duration: 2 * time.Minute, AppsPerCategory: 10, PopularApps: 25, Seed: 1}
 }
 
 // MachineSpec names a machine preset.

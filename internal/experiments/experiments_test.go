@@ -3,7 +3,44 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
+
+func TestConfigValidate(t *testing.T) {
+	with := func(f func(*Config)) Config {
+		c := Quick()
+		f(&c)
+		return c
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		errs []string // substrings the error must name; nil means valid
+	}{
+		{"quick", Quick(), nil},
+		{"no popular apps", with(func(c *Config) { c.PopularApps = 0 }), nil},
+		{"zero duration", with(func(c *Config) { c.Duration = 0 }), []string{"duration"}},
+		{"negative duration", with(func(c *Config) { c.Duration = -time.Second }), []string{"duration"}},
+		{"zero apps", with(func(c *Config) { c.AppsPerCategory = 0 }), []string{"apps per category"}},
+		{"negative popular", with(func(c *Config) { c.PopularApps = -1 }), []string{"popular"}},
+		{"negative workers", with(func(c *Config) { c.Workers = -3 }), []string{"workers"}},
+		{"negative shards", with(func(c *Config) { c.Shards = -2 }), []string{"shards"}},
+		{"every problem reported", Config{Duration: -time.Second, Workers: -1},
+			[]string{"duration", "apps per category", "workers"}},
+	}
+	for _, c := range cases {
+		err := c.cfg.Validate()
+		if (err == nil) != (c.errs == nil) {
+			t.Errorf("%s: Validate() = %v, want valid=%v", c.name, err, c.errs == nil)
+			continue
+		}
+		for _, want := range c.errs {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: Validate() = %q, want it to name %q", c.name, err, want)
+			}
+		}
+	}
+}
 
 func TestTable1MatchesPaper(t *testing.T) {
 	rows := Table1()

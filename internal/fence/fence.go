@@ -13,9 +13,7 @@
 // Fence status lives in a virtual fence table limited to a single 4 KiB
 // guest page shared with the host over MMIO, so status queries are free of
 // transport cost; signaled indices are recycled when the supply of unused
-// indices runs low (§4). Device-specific synchronization primitives (the
-// glFenceSync-style handles of real GPUs) are tracked per physical device in
-// physical fence tables.
+// indices runs low (§4).
 //
 // Fence retirement is driven purely by simulated completion events, so
 // signal/wait interleavings are deterministic: equal seeds retire the same
@@ -109,7 +107,6 @@ func (f *Fence) WaitTimeout(p *sim.Proc, d sim.Time) bool {
 // one shared guest page.
 type Table struct {
 	env   *sim.Env
-	page  *virtio.SharedPage
 	slots []*Fence // current occupant per slot; nil when unused
 	free  []int
 
@@ -132,7 +129,7 @@ func NewTable(env *sim.Env) *Table {
 	if !page.Reserve(n * slotBytes) {
 		panic("fence: slot layout exceeds page")
 	}
-	t := &Table{env: env, page: page, slots: make([]*Fence, n)}
+	t := &Table{env: env, slots: make([]*Fence, n)}
 	for i := range t.slots {
 		t.free = append(t.free, i)
 	}

@@ -101,10 +101,6 @@ func (t *Tenant) AddFaultWindow(start, dur time.Duration) {
 	t.faults = append(t.faults, faultWindow{start: start, end: start + dur})
 }
 
-// FetchPercentile exposes the demand-fetch tail (ms) for tests and
-// drivers.
-func (t *Tenant) FetchPercentile(q float64) float64 { return t.fetch.Percentile(q) }
-
 // wholeSeconds returns how many complete virtual seconds [0,end) holds.
 func wholeSeconds(end time.Duration) int { return int(end / time.Second) }
 

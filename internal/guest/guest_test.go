@@ -61,19 +61,6 @@ func TestVSyncLateWaiterCatchesNextTick(t *testing.T) {
 	}
 }
 
-func TestVSyncNextDeadline(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	v := NewVSync(env, 10*ms)
-	if v.NextDeadline() != 10*ms {
-		t.Fatalf("initial NextDeadline = %v, want 10ms", v.NextDeadline())
-	}
-	env.RunUntil(25 * ms)
-	if v.NextDeadline() != 30*ms {
-		t.Fatalf("NextDeadline = %v, want 30ms", v.NextDeadline())
-	}
-}
-
 func newModule(t *testing.T) (*sim.Env, *svm.Module) {
 	t.Helper()
 	env := sim.NewEnv(5)
@@ -154,22 +141,6 @@ func TestBufferQueueFIFODelivery(t *testing.T) {
 			if got := q.Acquire(p); got.Seq != i {
 				t.Errorf("acquired seq %d, want %d", got.Seq, i)
 			}
-		}
-	})
-	env.Run()
-}
-
-func TestBufferQueueFreeAll(t *testing.T) {
-	env, mod := newModule(t)
-	env.Spawn("test", func(p *sim.Proc) {
-		q, _ := NewBufferQueue(p, mod, 4, hostsim.MiB)
-		b := q.Dequeue(p)
-		q.Queue(p, b)
-		if err := q.FreeAll(p, mod); err != nil {
-			t.Errorf("FreeAll: %v", err)
-		}
-		if mod.Live() != 0 {
-			t.Errorf("Live = %d after FreeAll, want 0", mod.Live())
 		}
 	})
 	env.Run()

@@ -109,9 +109,6 @@ func (d *Device) SetThermal(t *Thermal) {
 	d.SetSpeedSource(t.SpeedFactor)
 }
 
-// Speed returns the current speed factor.
-func (d *Device) Speed() float64 { return d.speed() }
-
 // Exec runs a work item whose cost is the given duration at nominal speed,
 // occupying one execution unit. The elapsed time stretches when the device
 // is throttled. It returns total elapsed time including queueing.
@@ -140,22 +137,6 @@ func (d *Device) Exec(p *sim.Proc, cost time.Duration) time.Duration {
 	return p.Now() - start
 }
 
-// TryExec runs the work only if a unit is free right now, reporting whether
-// it ran.
-func (d *Device) TryExec(p *sim.Proc, cost time.Duration) bool {
-	if !d.units.TryAcquire(1) {
-		return false
-	}
-	eff := time.Duration(float64(cost) / d.speed())
-	p.Sleep(eff)
-	d.units.Release(1)
-	d.busy += eff
-	if d.thermo != nil {
-		d.thermo.AddWork(eff)
-	}
-	return true
-}
-
 // SwitchUser records that the named virtual device is about to execute and
 // reports whether that is a context switch from a different user.
 func (d *Device) SwitchUser(name string) bool {
@@ -166,18 +147,7 @@ func (d *Device) SwitchUser(name string) bool {
 	return true
 }
 
-// Units returns the total execution units.
-func (d *Device) Units() int64 { return d.units.Capacity() }
-
 // BusyTime returns cumulative execution time across units.
 func (d *Device) BusyTime() time.Duration { return d.busy }
-
-// Utilization returns busy time divided by (elapsed × units).
-func (d *Device) Utilization(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(d.busy) / (float64(elapsed) * float64(d.units.Capacity()))
-}
 
 func (d *Device) String() string { return d.Name }

@@ -160,9 +160,6 @@ func (ct *ChunkedTransfer) chunkSize(i int) Bytes {
 	return ct.cfg.ChunkBytes
 }
 
-// Chunks returns the transfer's chunk count.
-func (ct *ChunkedTransfer) Chunks() int { return ct.n }
-
 // Total returns the transfer's full byte length.
 func (ct *ChunkedTransfer) Total() Bytes { return ct.total }
 
@@ -174,9 +171,6 @@ func (ct *ChunkedTransfer) Total() Bytes { return ct.total }
 func (ct *ChunkedTransfer) Covers(upTo Bytes) bool {
 	return upTo <= ct.total
 }
-
-// Landed returns how many chunks have fully arrived.
-func (ct *ChunkedTransfer) Landed() int { return ct.landed }
 
 // Done reports whether every chunk has landed.
 func (ct *ChunkedTransfer) Done() bool { return ct.done }

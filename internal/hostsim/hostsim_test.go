@@ -369,32 +369,6 @@ func TestCopySyncAndDetailed(t *testing.T) {
 	}
 }
 
-func TestDeviceTryExecAndUtilization(t *testing.T) {
-	env := sim.NewEnv(1)
-	defer env.Close()
-	dom := &Domain{Name: "d", Kind: HostDRAM}
-	dev := NewDevice(env, "cpu", DevCPU, dom, 1)
-	if dev.Units() != 1 {
-		t.Fatalf("Units = %d", dev.Units())
-	}
-	ran, rejected := false, false
-	env.Spawn("a", func(p *sim.Proc) { ran = dev.TryExec(p, 10*ms) })
-	env.Spawn("b", func(p *sim.Proc) {
-		p.Sleep(ms)
-		rejected = !dev.TryExec(p, ms) // unit busy
-	})
-	env.RunUntil(20 * ms)
-	if !ran || !rejected {
-		t.Fatalf("TryExec ran=%v rejected=%v", ran, rejected)
-	}
-	if u := dev.Utilization(20 * ms); u < 0.45 || u > 0.55 {
-		t.Fatalf("Utilization = %.2f, want ~0.5", u)
-	}
-	if dev.Speed() != 1 {
-		t.Fatalf("Speed = %v", dev.Speed())
-	}
-}
-
 func TestSwitchUserDetectsContextSwitches(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()

@@ -268,6 +268,3 @@ func (l *Link) BytesMoved() Bytes { return l.moved }
 
 // BusyTime returns the cumulative time the link spent transferring.
 func (l *Link) BusyTime() time.Duration { return l.busy }
-
-// QueueDepth returns the number of transfers waiting or in flight.
-func (l *Link) QueueDepth() int64 { return l.sem.InUse() }

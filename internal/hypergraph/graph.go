@@ -163,9 +163,6 @@ func (g *Graph) NodeName(id NodeID) string {
 	return "?"
 }
 
-// NumNodes returns the registered node count.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
 // NumEdges returns the discovered edge count.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 

@@ -1,7 +1,5 @@
 package hypergraph
 
-import "sort"
-
 // Mapping ties one SVM region to its flow in each layer.
 type Mapping struct {
 	Virtual  *Edge
@@ -45,16 +43,6 @@ func (t *Twin) Unmap(region uint64) { delete(t.regions, region) }
 
 // NumMapped returns the mapped region count.
 func (t *Twin) NumMapped() int { return len(t.regions) }
-
-// MappedRegions returns the mapped region IDs in ascending order.
-func (t *Twin) MappedRegions() []uint64 {
-	out := make([]uint64, 0, len(t.regions))
-	for r := range t.regions {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // MemoryFootprint estimates the resident bytes of the twin hypergraphs, the
 // quantity the paper bounds at 3.1 MiB (§5.2). The estimate counts edges,

@@ -10,7 +10,6 @@ type FPSCounter struct {
 	dropped   int
 	hasFirst  bool
 	first     time.Duration
-	last      time.Duration
 	perSecond map[int64]int
 }
 
@@ -26,7 +25,6 @@ func (c *FPSCounter) Present(t time.Duration) {
 	if c.perSecond == nil {
 		c.perSecond = make(map[int64]int)
 	}
-	c.last = t
 	c.frames++
 	c.perSecond[int64(t/time.Second)]++
 }
@@ -65,13 +63,4 @@ func (c *FPSCounter) PerSecond(end time.Duration) []float64 {
 		}
 	}
 	return out
-}
-
-// DropRate returns dropped/(dropped+presented), or 0 with no frames.
-func (c *FPSCounter) DropRate() float64 {
-	total := c.frames + c.dropped
-	if total == 0 {
-		return 0
-	}
-	return float64(c.dropped) / float64(total)
 }

@@ -191,22 +191,6 @@ func (d *Distribution) Merge(other *Distribution) {
 	d.sorted = false
 }
 
-// MergeAll merges each source in argument order, skipping nils.
-func (d *Distribution) MergeAll(srcs ...*Distribution) {
-	for _, s := range srcs {
-		if s != nil {
-			d.Merge(s)
-		}
-	}
-}
-
-// Samples returns a copy of the raw samples (unsorted order not preserved).
-func (d *Distribution) Samples() []float64 {
-	out := make([]float64, len(d.samples))
-	copy(out, d.samples)
-	return out
-}
-
 func (d *Distribution) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p99=%.3f max=%.3f",
 		d.Count(), d.Mean(), d.Percentile(50), d.Percentile(99), d.Max())

@@ -175,17 +175,6 @@ func TestFPSCounterEmpty(t *testing.T) {
 	}
 }
 
-func TestFPSCounterDropRate(t *testing.T) {
-	c := NewFPSCounter()
-	c.Present(0)
-	c.Present(time.Second / 60)
-	c.Present(2 * time.Second / 60)
-	c.Drop()
-	if got := c.DropRate(); got != 0.25 {
-		t.Fatalf("DropRate = %v, want 0.25", got)
-	}
-}
-
 func TestFPSPerSecond(t *testing.T) {
 	c := NewFPSCounter()
 	for i := 0; i < 90; i++ { // 60 in second 0, 30 in second 1

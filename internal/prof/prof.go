@@ -117,14 +117,6 @@ func (pf *Profiler) Bind(key any, n *Node) *Node {
 	return prev
 }
 
-// Current returns the node bound to key, if any.
-func (pf *Profiler) Current(key any) *Node {
-	if pf == nil {
-		return nil
-	}
-	return pf.cur[key]
-}
-
 // Charge records self work [from, now] for comp on key's current node
 // (and on key's active class scope, if any).
 func (pf *Profiler) Charge(key any, comp string, from time.Duration) {

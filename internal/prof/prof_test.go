@@ -183,7 +183,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil profiler returned a node")
 	}
 	pf.Bind("k", n)
-	_ = pf.Current("k")
 	pf.Charge("k", "c", 0)
 	pf.ChargeSpan("k", "c", 0, 1)
 	pf.Wait("k", "c", 0, nil)

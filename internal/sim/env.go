@@ -408,9 +408,6 @@ func (e *Env) runWindow(limit Time, inclusive bool) {
 // windowed or sharded.
 func (e *Env) ExecutedEvents() uint64 { return e.executed }
 
-// Idle reports whether no live events remain.
-func (e *Env) Idle() bool { return e.PendingEvents() == 0 }
-
 // PendingEvents returns the number of live scheduled events; stopped timers
 // awaiting lazy reclamation are not counted.
 func (e *Env) PendingEvents() int {

@@ -78,12 +78,3 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	q.wakeOne(&q.putWaiters)
 	return v, true
 }
-
-// Peek returns the head item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	return q.items[0], true
-}

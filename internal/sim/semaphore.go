@@ -1,8 +1,7 @@
 package sim
 
 // Semaphore is a counted resource with strict FIFO grant order, which keeps
-// contention deterministic and starvation-free. A Semaphore with capacity 1
-// is a mutex.
+// contention deterministic and starvation-free.
 type Semaphore struct {
 	env     *Env
 	count   int64
@@ -49,16 +48,6 @@ func (s *Semaphore) Acquire(p *Proc, n int64) {
 	}
 }
 
-// TryAcquire grants n units without blocking, reporting success. FIFO order
-// is respected: it fails while earlier waiters are queued.
-func (s *Semaphore) TryAcquire(n int64) bool {
-	if len(s.waiters) > 0 || s.count < n {
-		return false
-	}
-	s.count -= n
-	return true
-}
-
 // Release returns n units and grants queued waiters in FIFO order.
 func (s *Semaphore) Release(n int64) {
 	s.count += n
@@ -80,26 +69,3 @@ func (s *Semaphore) grant() {
 		s.env.schedule(s.env.now, w.p, nil)
 	}
 }
-
-// Hold acquires n units, sleeps for d, then releases — the common pattern
-// for occupying a modeled hardware resource for a fixed service time.
-func (s *Semaphore) Hold(p *Proc, n int64, d Time) {
-	s.Acquire(p, n)
-	p.Sleep(d)
-	s.Release(n)
-}
-
-// Mutex is a binary semaphore with Lock/Unlock naming.
-type Mutex struct{ s *Semaphore }
-
-// NewMutex returns an unlocked mutex.
-func NewMutex(env *Env) *Mutex { return &Mutex{s: NewSemaphore(env, 1)} }
-
-// Lock blocks p until the mutex is held.
-func (m *Mutex) Lock(p *Proc) { m.s.Acquire(p, 1) }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.s.Release(1) }
-
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.s.InUse() == 1 }

@@ -201,10 +201,6 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 // Lookahead returns the conservative window size.
 func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
-// Now returns the group's barrier clock: every environment has advanced to
-// at least this instant.
-func (g *ShardGroup) Now() Time { return g.now }
-
 // AtBarrier registers fn to run on the coordinating goroutine at every
 // window barrier, after all shards have parked. prev and now bound the
 // window just executed. This is the shared-host-resource synchronization

@@ -348,68 +348,6 @@ func TestSemaphoreFIFOGrant(t *testing.T) {
 	}
 }
 
-func TestSemaphoreTryAcquireRespectsWaiters(t *testing.T) {
-	env := NewEnv(1)
-	defer env.Close()
-	s := NewSemaphore(env, 2)
-	env.Spawn("holder", func(p *Proc) {
-		s.Acquire(p, 2)
-		p.Sleep(10 * ms)
-		s.Release(2)
-	})
-	env.Spawn("waiter", func(p *Proc) {
-		p.Sleep(1 * ms)
-		s.Acquire(p, 2)
-		s.Release(2)
-	})
-	env.Spawn("opportunist", func(p *Proc) {
-		p.Sleep(5 * ms)
-		if s.TryAcquire(1) {
-			t.Error("TryAcquire succeeded while earlier waiter queued")
-		}
-	})
-	env.Run()
-}
-
-func TestMutexExclusion(t *testing.T) {
-	env := NewEnv(1)
-	defer env.Close()
-	m := NewMutex(env)
-	inside := false
-	for i := 0; i < 3; i++ {
-		env.Spawn("w", func(p *Proc) {
-			m.Lock(p)
-			if inside {
-				t.Error("two processes inside critical section")
-			}
-			inside = true
-			p.Sleep(2 * ms)
-			inside = false
-			m.Unlock()
-		})
-	}
-	env.Run()
-	if m.Locked() {
-		t.Fatal("mutex still locked after drain")
-	}
-}
-
-func TestSemaphoreHold(t *testing.T) {
-	env := NewEnv(1)
-	defer env.Close()
-	s := NewSemaphore(env, 1)
-	var done Time
-	env.Spawn("a", func(p *Proc) { s.Hold(p, 1, 4*ms) })
-	env.Spawn("b", func(p *Proc) {
-		s.Hold(p, 1, 4*ms)
-		done = p.Now()
-	})
-	env.Run()
-	if done != 8*ms {
-		t.Fatalf("second hold finished at %v, want 8ms (serialized)", done)
-	}
-}
-
 func TestCloseAbortsBlockedProcesses(t *testing.T) {
 	env := NewEnv(1)
 	ev := NewEvent(env)
@@ -498,9 +436,6 @@ func TestRunForAndIdle(t *testing.T) {
 	defer env.Close()
 	fired := false
 	env.After(4*ms, func() { fired = true })
-	if env.Idle() {
-		t.Fatal("should have a pending event")
-	}
 	if env.PendingEvents() != 1 {
 		t.Fatalf("PendingEvents = %d, want 1", env.PendingEvents())
 	}
@@ -509,8 +444,8 @@ func TestRunForAndIdle(t *testing.T) {
 		t.Fatalf("fired=%v now=%v after RunFor(2ms)", fired, env.Now())
 	}
 	env.RunFor(2 * ms)
-	if !fired || !env.Idle() {
-		t.Fatalf("fired=%v idle=%v, want fired and drained", fired, env.Idle())
+	if !fired || env.PendingEvents() != 0 {
+		t.Fatalf("fired=%v pending=%d, want fired and drained", fired, env.PendingEvents())
 	}
 }
 
@@ -560,20 +495,20 @@ func TestQueueLenAndPeek(t *testing.T) {
 	env := NewEnv(1)
 	defer env.Close()
 	q := NewQueue[string](env, 0)
-	if _, ok := q.Peek(); ok {
-		t.Fatal("peek on empty should miss")
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d on empty queue, want 0", q.Len())
 	}
 	q.TryPut("a")
 	q.TryPut("b")
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", q.Len())
 	}
-	v, ok := q.Peek()
+	v, ok := q.TryGet()
 	if !ok || v != "a" {
-		t.Fatalf("Peek = %q/%v, want a/true", v, ok)
+		t.Fatalf("head = %q/%v, want a/true", v, ok)
 	}
-	if q.Len() != 2 {
-		t.Fatal("Peek must not consume")
+	if q.Len() != 1 {
+		t.Fatalf("Len = %d after one get, want 1", q.Len())
 	}
 }
 
@@ -584,16 +519,17 @@ func TestSemaphoreAccessors(t *testing.T) {
 	if s.Capacity() != 3 || s.Available() != 3 || s.InUse() != 0 {
 		t.Fatal("fresh semaphore accounting wrong")
 	}
-	if !s.TryAcquire(2) {
-		t.Fatal("TryAcquire should succeed")
+	env.Spawn("holder", func(p *Proc) {
+		s.Acquire(p, 2)
+		if s.InUse() != 2 || s.Available() != 1 {
+			t.Errorf("InUse/Available = %d/%d, want 2/1", s.InUse(), s.Available())
+		}
+		s.Release(2)
+	})
+	env.Run()
+	if s.InUse() != 0 {
+		t.Fatalf("InUse = %d after release, want 0", s.InUse())
 	}
-	if s.InUse() != 2 {
-		t.Fatalf("InUse = %d, want 2", s.InUse())
-	}
-	if s.TryAcquire(2) {
-		t.Fatal("over-acquire should fail")
-	}
-	s.Release(2)
 }
 
 func TestSemaphoreInvalidCapacityPanics(t *testing.T) {

@@ -33,12 +33,10 @@ type batchItem struct {
 // destination domain. The device layer piggybacks fence signals onto its
 // completion (the batch's completion IRQ carries them for free).
 type PushBatch struct {
-	dest     *hostsim.Domain
 	items    []batchItem
 	bytes    hostsim.Bytes
 	timer    sim.Timer
 	hasTimer bool
-	started  bool
 	complete bool
 	// node is the batch's wait-for graph vertex; its base component
 	// "svm:coalesce-window" absorbs the open-window parking time.
@@ -53,9 +51,6 @@ func (b *PushBatch) Len() int { return len(b.items) }
 
 // Bytes returns the total payload carried by the batch.
 func (b *PushBatch) Bytes() hostsim.Bytes { return b.bytes }
-
-// Completed reports whether every push in the batch has finished.
-func (b *PushBatch) Completed() bool { return b.complete }
 
 // OnComplete registers fn to run when the batch completes; if it already
 // has, fn runs immediately in the caller's context.
@@ -120,7 +115,7 @@ func (c *pushCoalescer) enqueue(r *Region, from, dom *hostsim.Domain,
 	bytes hostsim.Bytes, recordTiming bool) *PushBatch {
 
 	m := c.m
-	inf := &inflightFetch{done: sim.NewEvent(m.env), version: r.version, started: m.env.Now()}
+	inf := &inflightFetch{done: sim.NewEvent(m.env), version: r.version}
 	r.inflight[dom] = inf
 	m.stats.CoherencePushes++
 	it := batchItem{r: r, from: from, bytes: bytes, version: r.version,
@@ -137,7 +132,7 @@ func (c *pushCoalescer) enqueue(r *Region, from, dom *hostsim.Domain,
 		}
 		return b
 	}
-	b := &PushBatch{dest: dom, items: []batchItem{it}, bytes: bytes}
+	b := &PushBatch{items: []batchItem{it}, bytes: bytes}
 	if m.pf != nil {
 		b.node = m.pf.NewNode("svm:push-batch", "svm:coalesce-window")
 		inf.node = b.node
@@ -184,7 +179,6 @@ func (c *pushCoalescer) flush(dom *hostsim.Domain) {
 	if b.hasTimer {
 		b.timer.Stop()
 	}
-	b.started = true
 	m := c.m
 	m.stats.CoherenceBatches++
 	c.batchCtr.Inc()
@@ -249,17 +243,6 @@ func (c *pushCoalescer) takeWriteBatches() []*PushBatch {
 	out := make([]*PushBatch, len(c.writeBatches))
 	copy(out, c.writeBatches)
 	return out
-}
-
-// PendingPushes returns how many pushes are parked in dom's open batch.
-func (m *Manager) PendingPushes(dom *hostsim.Domain) int {
-	if m.coal == nil {
-		return 0
-	}
-	if b := m.coal.pending[dom]; b != nil {
-		return len(b.items)
-	}
-	return 0
 }
 
 // PushWindow returns the coalescing window currently in force toward dom

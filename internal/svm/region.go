@@ -14,7 +14,6 @@ import (
 type inflightFetch struct {
 	done    *sim.Event
 	version uint64
-	started time.Duration
 	// node is the push's wait-for graph vertex (the batch's vertex when
 	// the push rides a coalesced batch); nil when profiling is off.
 	node *prof.Node

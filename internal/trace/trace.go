@@ -164,6 +164,3 @@ func (c *Collector) CyclicFraction() float64 {
 	}
 	return float64(cyc) / float64(total)
 }
-
-// Regions returns the number of distinct regions observed.
-func (c *Collector) Regions() int { return len(c.regions) }

@@ -23,6 +23,12 @@ func TestTopUsersRanking(t *testing.T) {
 	if top[0].Share < 0.66 || top[0].Share > 0.67 {
 		t.Fatalf("share = %v, want 300/450", top[0].Share)
 	}
+	// Equal byte counts rank by caller name, never by map order.
+	c.Record(Event{Caller: "d", Region: 3, Bytes: 100})
+	top = c.TopUsers(0)
+	if len(top) != 4 || top[1].Caller != "a" || top[2].Caller != "d" {
+		t.Fatalf("tie order = %+v, want b, a, d, c", top)
+	}
 }
 
 func TestFewSharerFraction(t *testing.T) {
@@ -116,5 +122,29 @@ func TestAttachedCollectorReproducesStudyObservations(t *testing.T) {
 	}
 	if rate := c.CallRate(30 * time.Second); rate < 100 {
 		t.Fatalf("call rate = %.0f/s, want a few hundred (§2.3: 261-323)", rate)
+	}
+}
+
+// TestAndroidServiceOf covers every mapped device name and the unknown-name
+// passthrough.
+func TestAndroidServiceOf(t *testing.T) {
+	cases := map[string]string{
+		"codec":          "media-service",
+		"gpu":            "surfaceflinger",
+		"display":        "surfaceflinger",
+		"camera":         "camera-service",
+		"isp":            "camera-service",
+		"nic":            "network-stack",
+		"modem":          "network-stack",
+		"cpu":            "app-process",
+		"npu":            "npu",        // unmapped device passes through
+		"some-thing":     "some-thing", // arbitrary strings pass through
+		"":               "",
+		"surfaceflinger": "surfaceflinger", // already a service name
+	}
+	for in, want := range cases {
+		if got := AndroidServiceOf(in); got != want {
+			t.Errorf("AndroidServiceOf(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

@@ -99,7 +99,6 @@ type accum struct {
 type Tenant struct {
 	cfg    TenantConfig
 	mon    *Monitor
-	index  int
 	probes []probe
 	// open[i] accumulates window (mon.nextSeal + i): the windows at or
 	// above the seal watermark that this tenant has already seen samples
@@ -277,8 +276,8 @@ func New(cfg Config) *Monitor {
 		tracer:   cfg.Tracer,
 		profiler: cfg.Profiler,
 	}
-	for i, tc := range cfg.Tenants {
-		m.tenants = append(m.tenants, &Tenant{cfg: tc, mon: m, index: i})
+	for _, tc := range cfg.Tenants {
+		m.tenants = append(m.tenants, &Tenant{cfg: tc, mon: m})
 	}
 	m.cumFetch = make([]fleetobs.LogHistogram, len(m.tenants))
 	m.cumM2P = make([]fleetobs.LogHistogram, len(m.tenants))

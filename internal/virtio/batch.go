@@ -93,14 +93,6 @@ func (c BatchConfig) pressureHold() time.Duration {
 	return DefaultPressureHold
 }
 
-// BatchDesc describes one coalesced batch on the transport: how many
-// elements rode one doorbell/completion pair. A batch of one carries no
-// header: it costs exactly what the unbatched element would.
-type BatchDesc struct {
-	Elems int
-	Bytes int64
-}
-
 // AdaptiveWindow sizes the coalescing window of one queue from the
 // notify->IRQ round trips observed on it (single exponential smoothing,
 // the same metrics.EWMA machinery the prefetch engine forecasts with).
@@ -131,9 +123,6 @@ func (w *AdaptiveWindow) ObserveRTT(d time.Duration) {
 	}
 	w.rtt.Observe(float64(d))
 }
-
-// RTT returns the smoothed round-trip forecast (0 while cold).
-func (w *AdaptiveWindow) RTT() time.Duration { return time.Duration(w.rtt.Value()) }
 
 // Warm reports whether at least one round trip has been observed.
 func (w *AdaptiveWindow) Warm() bool { return w.rtt.Warm() }

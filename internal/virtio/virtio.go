@@ -248,26 +248,6 @@ func (r *Ring) Recv(p *sim.Proc) *Command {
 	return c
 }
 
-// TryRecv pops a command without blocking. A miss publishes the idle state,
-// mirroring Recv's going-to-sleep check.
-func (r *Ring) TryRecv() (*Command, bool) {
-	c, ok := r.q.TryGet()
-	if ok {
-		r.peerIdle = false
-	} else {
-		r.peerIdle = true
-	}
-	if ok && r.tr != nil {
-		r.tr.AsyncEnd(r.tk, "queued", c.Seq)
-		r.tr.Count(r.tk, "pending", float64(r.q.Len()))
-	}
-	return c, ok
-}
-
-// PeerIdle reports the published event-index state: whether the next
-// dispatch must pay a kick. Exposed for tests.
-func (r *Ring) PeerIdle() bool { return r.peerIdle }
-
 // ObserveRoundTrip feeds one dispatch->completion round trip into the
 // ring's adaptive window. No-op when batching is off.
 func (r *Ring) ObserveRoundTrip(d time.Duration) {
@@ -285,15 +265,6 @@ func (r *Ring) Window() time.Duration {
 	return r.win.Window(r.env.Now())
 }
 
-// RTT returns the ring's smoothed notify->completion round trip (zero when
-// batching is off or no round trip has been observed).
-func (r *Ring) RTT() time.Duration {
-	if r.win == nil {
-		return 0
-	}
-	return r.win.RTT()
-}
-
 // Pending returns the queued command count.
 func (r *Ring) Pending() int { return r.q.Len() }
 
@@ -305,7 +276,6 @@ func (r *Ring) Stats() Stats { return r.stats }
 // interrupts" that make the event-driven ordering paradigm expensive (§3.4).
 type IRQLine struct {
 	Name  string
-	env   *sim.Env
 	cfg   Config
 	q     *sim.Queue[any]
 	count int
@@ -325,7 +295,7 @@ type IRQLine struct {
 
 // NewIRQLine returns an interrupt line.
 func NewIRQLine(env *sim.Env, name string, cfg Config) *IRQLine {
-	l := &IRQLine{Name: name, env: env, cfg: cfg, q: sim.NewQueue[any](env, 0), pf: env.Profiler()}
+	l := &IRQLine{Name: name, cfg: cfg, q: sim.NewQueue[any](env, 0), pf: env.Profiler()}
 	if l.tr = env.Tracer(); l.tr != nil {
 		l.tk = l.tr.Track("irq:" + name)
 	}
@@ -435,12 +405,4 @@ func (s *SharedPage) Reserve(n int) bool {
 	}
 	s.Size += n
 	return true
-}
-
-// Free returns n bytes.
-func (s *SharedPage) Free(n int) {
-	s.Size -= n
-	if s.Size < 0 {
-		panic("virtio: shared page over-freed")
-	}
 }
