@@ -108,22 +108,21 @@ func main() {
 	sess := workload.NewSession(preset, machine.New, *seed)
 	defer sess.Close()
 
-	var r *workload.Result
+	var pd *workload.Pending
 	var err error
-	switch app := strings.ToLower(*appName); app {
-	case "heavy3d":
-		r, err = workload.RunPopular(sess.Emulator, workload.PopularHeavy3D, workload.PopularSpec(workload.PopularHeavy3D, 0, *duration))
-	case "ui":
-		r, err = workload.RunPopular(sess.Emulator, workload.PopularUI, workload.PopularSpec(workload.PopularUI, 0, *duration))
-	case "social":
-		r, err = workload.RunPopular(sess.Emulator, workload.PopularSocialVideo, workload.PopularSpec(workload.PopularSocialVideo, 0, *duration))
-	default:
-		cat, ok := emergingApps[app]
-		if !ok {
-			die("unknown app %q", *appName)
-		}
-		r, err = workload.RunEmerging(sess.Emulator, workload.DefaultSpec(cat, 0, *duration))
+	app := strings.ToLower(*appName)
+	if kind, ok := popularApps[app]; ok {
+		pd, err = workload.StartPopular(sess.Emulator, kind, workload.PopularSpec(kind, 0, *duration))
+	} else if cat, ok := emergingApps[app]; ok {
+		pd, err = workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, 0, *duration))
+	} else {
+		die("unknown app %q", *appName)
 	}
+	if err != nil {
+		die("run failed: %v", err)
+	}
+	sess.Env.RunUntil(pd.Stop())
+	r, err := pd.Wait()
 	if err != nil {
 		die("run failed: %v", err)
 	}
@@ -185,14 +184,22 @@ func checkFlags(duration time.Duration, shards int, fleet, mon bool, monOut stri
 }
 
 // emergingApps maps the emerging app names onto their Table 1 category.
-// Only these can be monitored or farmed: the popular-app kinds drive their
-// own environment loop and cannot join a shard group.
+// Only these can be monitored or farmed: a farm or monitor tenant's QoS
+// contract (experiments.FarmTenant's FPS floor and motion-to-photon SLO) is
+// set per Table 1 category, and the popular-app kinds have none.
 var emergingApps = map[string]int{
 	"uhd":        emulator.CatUHDVideo,
 	"360":        emulator.Cat360Video,
 	"camera":     emulator.CatCamera,
 	"ar":         emulator.CatAR,
 	"livestream": emulator.CatLivestream,
+}
+
+// popularApps maps the popular app names onto their §5.5 profile kind.
+var popularApps = map[string]workload.PopularKind{
+	"heavy3d": workload.PopularHeavy3D,
+	"ui":      workload.PopularUI,
+	"social":  workload.PopularSocialVideo,
 }
 
 // finishMonitor prints the finalized monitor's report and writes the
@@ -211,8 +218,8 @@ func finishMonitor(mon *tsmon.Monitor, monOut string) {
 
 // runMonitoredSingle runs one guest with the streaming telemetry engine
 // attached, driving the simulation at window grain so rollups seal as
-// virtual time passes each boundary. Emerging apps only: the popular-app
-// kinds drive their own environment loop.
+// virtual time passes each boundary. Emerging apps only: the monitor
+// tenant's QoS contract is per Table 1 category (see emergingApps).
 func runMonitoredSingle(preset emulator.Preset, machine experiments.MachineSpec, app string, dur time.Duration, seed int64, monOut string) {
 	cat, ok := emergingApps[app]
 	if !ok {

@@ -56,7 +56,7 @@ func RunAblation(cfg Config) *AblationResult {
 	for vi, v := range variants {
 		runs = append(runs, appsOf(cfg, v, HighEnd, 100+vi, cfg.AppsPerCategory, allCats()...)...)
 	}
-	done := sweep(cfg, runs, false, func(_ *workload.Session, r *workload.Result) float64 { return r.FPS })
+	done := sweep(cfg, runs, false, fpsOf)
 	out := &AblationResult{}
 	for cat := 0; cat < emulator.NumCategories; cat++ {
 		out.Categories = append(out.Categories, emulator.CategoryNames[cat])
@@ -104,23 +104,20 @@ func RunPopularAblation(cfg Config) *PopularAblationResult {
 	variants := []emulator.Preset{
 		emulator.VSoC(), emulator.VSoCNoPrefetch(), emulator.VSoCNoFence(),
 	}
-	// Every (variant, app) pair is one independent session; failures record
-	// 0 FPS, matching the serial bookkeeping.
-	flat := ParMap(cfg.EffectiveWorkers(), len(variants)*len(mix), func(i int) float64 {
-		vi, app := i/len(mix), i%len(mix)
-		kind := mix[app]
-		sess := workload.NewSession(variants[vi], HighEnd.New, appSeed(cfg.Seed, 200+vi, int(kind), app))
-		defer sess.Close()
-		spec := workload.PopularSpec(kind, app, cfg.Duration)
-		r, err := workload.RunPopular(sess.Emulator, kind, spec)
-		if err != nil {
-			return 0
-		}
-		return r.FPS
-	})
+	var runs []appRun
+	for vi, v := range variants {
+		runs = append(runs, popularApps(cfg, v, 200+vi, mix)...)
+	}
+	done := sweep(cfg, runs, false, fpsOf)
+	// A run that fails scores 0 FPS at its (variant, app) slot.
 	fps := make([][]float64, len(variants))
-	for vi := range variants {
-		fps[vi] = flat[vi*len(mix) : (vi+1)*len(mix)]
+	for vi, v := range variants {
+		fps[vi] = make([]float64, len(mix))
+		for _, d := range done {
+			if d.preset.Name == v.Name {
+				fps[vi][d.app] = d.out
+			}
+		}
 	}
 	out := &PopularAblationResult{Apps: len(mix)}
 	var d metrics.Distribution

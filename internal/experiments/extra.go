@@ -281,20 +281,24 @@ func RunResolutionSweep(cfg Config) *ResolutionResult {
 	targets := []emulator.Preset{
 		emulator.VSoC(), emulator.LDPlayer(), emulator.Bluestacks(), emulator.Trinity(),
 	}
-	cells := ParMap(cfg.EffectiveWorkers(), len(targets)*len(resolutions), func(i int) ResolutionCell {
-		ei, ri := i/len(resolutions), i%len(resolutions)
-		preset, res := targets[ei], resolutions[ri]
-		sess := workload.NewSession(preset, HighEnd.New, appSeed(cfg.Seed, 800+ei, ri, 0))
-		defer sess.Close()
-		spec := workload.DefaultSpec(emulator.CatUHDVideo, 0, cfg.Duration)
-		spec.VideoW, spec.VideoH = res[0], res[1]
-		cell := ResolutionCell{Emulator: preset.Name, Width: res[0], Height: res[1]}
-		if r, err := workload.RunEmerging(sess.Emulator, spec); err == nil {
-			cell.FPS = r.FPS
+	out := &ResolutionResult{}
+	var runs []appRun
+	for ei, preset := range targets {
+		for ri, res := range resolutions {
+			spec := workload.DefaultSpec(emulator.CatUHDVideo, 0, cfg.Duration)
+			spec.VideoW, spec.VideoH = res[0], res[1]
+			runs = append(runs, appRun{
+				preset: preset, machine: HighEnd, cat: emulator.CatUHDVideo,
+				seed: appSeed(cfg.Seed, 800+ei, ri, 0), spec: spec,
+			})
+			out.Cells = append(out.Cells, ResolutionCell{Emulator: preset.Name, Width: res[0], Height: res[1]})
 		}
-		return cell
-	})
-	return &ResolutionResult{Cells: cells}
+	}
+	// A run that cannot start keeps 0 FPS in its cell.
+	for _, d := range sweep(cfg, runs, false, fpsOf) {
+		out.Of(d.preset.Name, d.spec.VideoW).FPS = d.out
+	}
+	return out
 }
 
 // FormatResolution renders the sweep.

@@ -35,44 +35,23 @@ func RunPopular(cfg Config) *PopularResult {
 		mix = mix[:cfg.PopularApps]
 	}
 	emus := presets()
-	type job struct{ ei, app int }
-	type result struct {
-		fps float64
-		ok  bool
-	}
-	var jobs []job
-	for ei := range emus {
+	var runs []appRun
+	for ei, preset := range emus {
 		// Compatibility: the preset runs only PopularCompat of the 25;
 		// scale proportionally for smaller configs.
-		runnable := emus[ei].PopularCompat * len(mix) / 25
-		if runnable > len(mix) {
-			runnable = len(mix)
-		}
-		for app := 0; app < runnable; app++ {
-			jobs = append(jobs, job{ei, app})
-		}
+		runnable := min(preset.PopularCompat*len(mix)/25, len(mix))
+		runs = append(runs, popularApps(cfg, preset, 300+ei, mix[:runnable])...)
 	}
-	results := ParMap(cfg.EffectiveWorkers(), len(jobs), func(i int) result {
-		j := jobs[i]
-		kind := mix[j.app]
-		sess := workload.NewSession(emus[j.ei], HighEnd.New, appSeed(cfg.Seed, 300+j.ei, int(kind), j.app))
-		defer sess.Close()
-		spec := workload.PopularSpec(kind, j.app, cfg.Duration)
-		r, err := workload.RunPopular(sess.Emulator, kind, spec)
-		if err != nil {
-			return result{}
-		}
-		return result{fps: r.FPS, ok: true}
-	})
+	done := sweep(cfg, runs, false, fpsOf)
 	out := &PopularResult{Machine: HighEnd.Name}
-	for ei, preset := range emus {
+	for _, preset := range emus {
 		cell := PopularCell{Emulator: preset.Name}
 		var fps float64
-		for i, j := range jobs {
-			if j.ei != ei || !results[i].ok {
+		for _, d := range done {
+			if d.preset.Name != preset.Name {
 				continue
 			}
-			fps += results[i].fps
+			fps += d.out
 			cell.Apps++
 		}
 		if cell.Apps > 0 {

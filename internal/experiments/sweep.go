@@ -7,13 +7,16 @@ import (
 )
 
 // appRun is one app session of a sweep: preset on machine, seeded, running
-// spec. cat and app name the Table 1 slot the run fills.
+// spec. cat and app name the Table 1 slot the run fills; a popular-app run
+// (start set) puts its PopularKind in cat.
 type appRun struct {
 	preset   emulator.Preset
 	machine  MachineSpec
 	seed     int64
 	cat, app int
 	spec     workload.Spec
+	// start launches the app; nil means workload.StartEmerging.
+	start func(*emulator.Emulator, workload.Spec) (*workload.Pending, error)
 }
 
 // allCats lists the five Table 1 categories in order.
@@ -43,15 +46,36 @@ func appsOf(cfg Config, preset emulator.Preset, machine MachineSpec, seedIdx, n 
 	return runs
 }
 
+// popularApps lists preset's runs of the first apps of mix on the high-end
+// machine, in mix order, each seeded appSeed(cfg.Seed, seedIdx, kind, app).
+func popularApps(cfg Config, preset emulator.Preset, seedIdx int, mix []workload.PopularKind) []appRun {
+	runs := make([]appRun, len(mix))
+	for app, kind := range mix {
+		runs[app] = appRun{
+			preset: preset, machine: HighEnd, cat: int(kind), app: app,
+			seed: appSeed(cfg.Seed, seedIdx, int(kind), app),
+			spec: workload.PopularSpec(kind, app, cfg.Duration),
+			start: func(e *emulator.Emulator, spec workload.Spec) (*workload.Pending, error) {
+				return workload.StartPopular(e, kind, spec)
+			},
+		}
+	}
+	return runs
+}
+
+// fpsOf is the sweep collector of drivers that keep only each run's FPS.
+func fpsOf(_ *workload.Session, r *workload.Result) float64 { return r.FPS }
+
 // swept is one completed run and what its collector took from it.
 type swept[R any] struct {
 	appRun
 	out R
 }
 
-// sweep simulates every run on a fresh session and returns collect's view
-// of each run whose app could start, in run order; runs that cannot start
-// (an emulator lacking a device the app needs) are skipped. With profile
+// sweep simulates every run on a fresh session, starting its app as a
+// workload.Pending and driving the session to the app's stop, and returns
+// collect's view of each run whose app could start, in run order; runs that
+// cannot start (an emulator lacking a device the app needs) are skipped. With profile
 // set, each session gets its own critical-path profiler, attached before
 // the emulator is assembled, for collect to read through Env.Profiler.
 // collect sees the session before it closes. Runs fan out across
@@ -67,7 +91,16 @@ func sweep[R any](cfg Config, runs []appRun, profile bool,
 		}
 		sess := workload.NewObservedSession(run.preset, run.machine.New, run.seed, nil, nil, pf)
 		defer sess.Close()
-		res, err := workload.RunEmerging(sess.Emulator, run.spec)
+		start := run.start
+		if start == nil {
+			start = workload.StartEmerging
+		}
+		pd, err := start(sess.Emulator, run.spec)
+		if err != nil {
+			return nil
+		}
+		sess.Env.RunUntil(pd.Stop())
+		res, err := pd.Wait()
 		if err != nil {
 			return nil
 		}

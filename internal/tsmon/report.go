@@ -134,6 +134,13 @@ func ReadReport(path string) (*MonReport, error) {
 	if r.Schema != MonReportSchema {
 		return nil, fmt.Errorf("%s: schema %d, want %d", path, r.Schema, MonReportSchema)
 	}
+	// Every window carries one row per header tenant; the renderers index
+	// rows by tenant, so a mismatch is a malformed report, not a panic.
+	for wi := range r.Windows {
+		if n := len(r.Windows[wi].Tenants); n != len(r.Tenants) {
+			return nil, fmt.Errorf("%s: window %d has %d tenant row(s), header lists %d", path, wi, n, len(r.Tenants))
+		}
+	}
 	return &r, nil
 }
 

@@ -3,6 +3,7 @@ package tsmon
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -287,6 +288,22 @@ func TestReportRoundTripAndDigest(t *testing.T) {
 	}
 	if bytes.Contains(j1, []byte("NaN")) || bytes.Contains(j1, []byte("Inf")) {
 		t.Fatalf("report JSON contains non-finite values:\n%s", j1)
+	}
+}
+
+func TestReadReportRejectsTenantRowMismatch(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"missing-row": `{"schema":1,"window_ms":200,"sealed":1,"tenants":[{"name":"g0"}],"detectors":[],"windows":[{"tenants":[]}],"incidents":[],"digest":"x"}`,
+		"extra-row":   `{"schema":1,"window_ms":200,"sealed":1,"tenants":[],"detectors":[],"windows":[{"tenants":[{}]}],"incidents":[],"digest":"x"}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadReport(path); err == nil || !strings.Contains(err.Error(), "tenant row") {
+			t.Errorf("%s: ReadReport error = %v, want a tenant-row mismatch", name, err)
+		}
 	}
 }
 

@@ -57,26 +57,10 @@ func RunBroadcast(e *emulator.Emulator, spec Spec) (*Result, error) {
 		mp := MPixels(spec.VideoW, spec.VideoH)
 
 		// Encoder stage: read the converted frame, write the chunk.
-		e.Env.Spawn("encoder", func(ep *sim.Proc) {
-			for ep.Now() < stop {
-				in := frameQ.Acquire(ep)
-				out := chunkQ.Dequeue(ep)
-				rd := e.Codec.Submit(ep, device.Op{
-					Kind: device.OpRead, Region: in.Region,
-					Exec: e.EncodeCost(mp), After: in.Ticket, Commands: 8,
-				})
-				wt := e.Codec.Submit(ep, device.Op{
-					Kind: device.OpWrite, Region: out.Region, Bytes: chunkBytes,
-					Exec: 200 * time.Microsecond, After: rd,
-				})
-				out.Ticket = wt
-				out.Seq = in.Seq
-				out.SourceTime = in.SourceTime
-				wt.Ready.Wait(ep)
-				frameQ.Release(ep, in)
-				chunkQ.Queue(ep, out)
-			}
-		})
+		startStage(e, "encoder", e.Codec,
+			device.Op{Exec: e.EncodeCost(mp), Commands: 8},
+			device.Op{Exec: 200 * time.Microsecond},
+			frameQ, chunkQ, stop)
 
 		// Uplink stage: the NIC reads each chunk and puts it on the wire.
 		for p.Now() < stop {

@@ -56,55 +56,18 @@ func startCameraPipeline(p *sim.Proc, e *emulator.Emulator, spec *Spec, out *gue
 	if err != nil {
 		return err
 	}
-	e.Env.Spawn("camera-service", func(cp *sim.Proc) {
-		// Capture loop: real-time; frames are skipped when the pipeline
-		// is backed up (cameras drop, they do not buffer).
-		for seq := int64(0); cp.Now() < stop; seq++ {
-			target := time.Duration(seq+1) * period
-			if wait := target - cp.Now(); wait > 0 {
-				cp.Sleep(wait)
-			}
-			b, ok := camQ.TryDequeue()
-			if !ok {
-				continue // sensor frame lost
-			}
-			// The scene event this frame first captured happened, on
-			// average, half a capture period before the exposure, plus
-			// the sensor latency (§5.3) and any host capture-stack
-			// buffering, all before the write is even dispatched.
-			b.SourceTime = cp.Now() - e.Machine.CameraLatency -
-				e.Preset.CameraStackLatency - period/2
-			tk := e.Camera.Submit(cp, device.Op{
-				Kind: device.OpWrite, Region: b.Region, Bytes: rawBytes,
-				Exec: 1 * time.Millisecond, // sensor readout
-			})
-			b.Ticket = tk
-			b.Seq = seq
-			b.PTS = time.Duration(seq) * period
-			camQ.Queue(cp, b)
-		}
-	})
-	e.Env.Spawn("isp-stage", func(ip *sim.Proc) {
-		for ip.Now() < stop {
-			in := camQ.Acquire(ip)
-			outB := out.Dequeue(ip)
-			rt := e.ISP.Submit(ip, device.Op{
-				Kind: device.OpRead, Region: in.Region, Bytes: rawBytes,
-				Exec: e.ISPCost(mp), After: in.Ticket,
-			})
-			wt := e.ISP.Submit(ip, device.Op{
-				Kind: device.OpWrite, Region: outB.Region, Bytes: outB.Size,
-				Exec: 200 * time.Microsecond, After: rt,
-			})
-			outB.Ticket = wt
-			outB.Seq = in.Seq
-			outB.PTS = in.PTS
-			outB.SourceTime = in.SourceTime
-			wt.Ready.Wait(ip) // converted frame available
-			camQ.Release(ip, in)
-			out.Queue(ip, outB)
-		}
-	})
+	// The scene event a frame first captured happened, on average, half a
+	// capture period before the exposure, plus the sensor latency (§5.3)
+	// and any host capture-stack buffering, all before the write is even
+	// dispatched.
+	lag := e.Machine.CameraLatency + e.Preset.CameraStackLatency + period/2
+	startSource(e, "camera-service", e.Camera, device.Op{
+		Bytes: rawBytes, Exec: 1 * time.Millisecond, // sensor readout
+	}, camQ, period, lag, stop)
+	startStage(e, "isp-stage", e.ISP,
+		device.Op{Bytes: rawBytes, Exec: e.ISPCost(mp)},
+		device.Op{Exec: 200 * time.Microsecond},
+		camQ, out, stop)
 	return nil
 }
 
@@ -116,54 +79,73 @@ func startLivestreamPipeline(p *sim.Proc, e *emulator.Emulator, spec *Spec, out 
 	period := spec.FramePeriod()
 	// 300 Mbps at 60 FPS is ~640 KB of compressed data per frame (§2.3).
 	chunkBytes := hostsim.Bytes(300e6/8) / hostsim.Bytes(spec.ContentFPS)
-	frameBytes := spec.VideoFrameBytes()
 	mp := MPixels(spec.VideoW, spec.VideoH)
 
 	nicQ, err := guest.NewBufferQueue(p, e.HAL, spec.Buffers, chunkBytes)
 	if err != nil {
 		return err
 	}
-	e.Env.Spawn("nic-rx", func(np *sim.Proc) {
-		for seq := int64(0); np.Now() < stop; seq++ {
+	// A full nicQ is RTMP backpressure: the chunk is delayed/merged.
+	startSource(e, "nic-rx", e.NIC, device.Op{
+		Bytes: chunkBytes, Exec: 200 * time.Microsecond,
+	}, nicQ, period, spec.NetworkDelay+period/2, stop)
+	startStage(e, "stream-decoder", e.Codec,
+		device.Op{Bytes: chunkBytes, Exec: 100 * time.Microsecond},
+		device.Op{Exec: e.DecodeCost(mp), Commands: 8},
+		nicQ, out, stop)
+	return nil
+}
+
+// startSource spawns a real-time source (camera sensor, NIC). Each period
+// it takes a free buffer of q, stamps the scene-event time lag before now,
+// writes the buffer on dev through the write template op, and queues it.
+// Sources do not buffer: when q has no free buffer the frame is lost.
+func startSource(e *emulator.Emulator, name string, dev *device.Device, op device.Op, q *guest.BufferQueue, period, lag, stop time.Duration) {
+	op.Kind = device.OpWrite
+	e.Env.Spawn(name, func(p *sim.Proc) {
+		for seq := int64(0); p.Now() < stop; seq++ {
 			target := time.Duration(seq+1) * period
-			if wait := target - np.Now(); wait > 0 {
-				np.Sleep(wait)
+			if wait := target - p.Now(); wait > 0 {
+				p.Sleep(wait)
 			}
-			b, ok := nicQ.TryDequeue()
+			b, ok := q.TryDequeue()
 			if !ok {
-				continue // RTMP backpressure: chunk delayed/merged
+				continue
 			}
-			b.SourceTime = np.Now() - spec.NetworkDelay - period/2
-			tk := e.NIC.Submit(np, device.Op{
-				Kind: device.OpWrite, Region: b.Region, Bytes: chunkBytes,
-				Exec: 200 * time.Microsecond,
-			})
-			b.Ticket = tk
+			b.SourceTime = p.Now() - lag
+			w := op
+			w.Region = b.Region
+			b.Ticket = dev.Submit(p, w)
 			b.Seq = seq
 			b.PTS = time.Duration(seq) * period
-			nicQ.Queue(np, b)
+			q.Queue(p, b)
 		}
 	})
-	e.Env.Spawn("stream-decoder", func(dp *sim.Proc) {
-		for dp.Now() < stop {
-			in := nicQ.Acquire(dp)
-			outB := out.Dequeue(dp)
-			rd := e.Codec.Submit(dp, device.Op{
-				Kind: device.OpRead, Region: in.Region, Bytes: chunkBytes,
-				Exec: 100 * time.Microsecond, After: in.Ticket,
-			})
-			wt := e.Codec.Submit(dp, device.Op{
-				Kind: device.OpWrite, Region: outB.Region, Bytes: frameBytes,
-				Exec: e.DecodeCost(mp), After: rd, Commands: 8,
-			})
-			outB.Ticket = wt
-			outB.Seq = in.Seq
-			outB.PTS = in.PTS
-			outB.SourceTime = in.SourceTime
-			wt.Ready.Wait(dp) // decoded frame available
-			nicQ.Release(dp, in)
-			out.Queue(dp, outB)
+}
+
+// startStage spawns a read->write stage (ISP, decoder, encoder): it reads
+// each filled buffer of in on dev through the read template, writes a whole
+// free buffer of out behind that read through the write template, hands
+// the frame's Seq, PTS and SourceTime on, and queues the output once the
+// write completes.
+func startStage(e *emulator.Emulator, name string, dev *device.Device, read, write device.Op, in, out *guest.BufferQueue, stop time.Duration) {
+	read.Kind, write.Kind = device.OpRead, device.OpWrite
+	e.Env.Spawn(name, func(p *sim.Proc) {
+		for p.Now() < stop {
+			src := in.Acquire(p)
+			dst := out.Dequeue(p)
+			r, w := read, write
+			r.Region, r.After = src.Region, src.Ticket
+			w.Region, w.Bytes = dst.Region, dst.Size
+			w.After = dev.Submit(p, r)
+			tk := dev.Submit(p, w)
+			dst.Ticket = tk
+			dst.Seq = src.Seq
+			dst.PTS = src.PTS
+			dst.SourceTime = src.SourceTime
+			tk.Ready.Wait(p)
+			in.Release(p, src)
+			out.Queue(p, dst)
 		}
 	})
-	return nil
 }

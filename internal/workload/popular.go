@@ -73,16 +73,18 @@ func PopularSpec(kind PopularKind, appIndex int, duration time.Duration) Spec {
 	return s
 }
 
-// RunPopular runs one popular app on an assembled emulator.
-func RunPopular(e *emulator.Emulator, kind PopularKind, spec Spec) (*Result, error) {
+// StartPopular launches one popular app's processes without driving the
+// environment, the popular-app counterpart of StartEmerging: drive the
+// environment to the returned Pending's Stop, then Wait for the result.
+func StartPopular(e *emulator.Emulator, kind PopularKind, spec Spec) (*Pending, error) {
 	spec.normalize()
 	switch kind {
 	case PopularSocialVideo:
 		// Embedded video player plus a busy UI: the video pipeline with a
 		// 1080p30 stream.
-		return RunEmerging(e, withCategory(spec, emulator.CatUHDVideo))
+		return StartEmerging(e, withCategory(spec, emulator.CatUHDVideo))
 	case PopularHeavy3D, PopularUI:
-		return runFrameLoopApp(e, kind, spec)
+		return startFrameLoopApp(e, kind, spec), nil
 	}
 	return nil, fmt.Errorf("workload: unknown popular kind %d", kind)
 }
@@ -92,19 +94,18 @@ func withCategory(s Spec, cat int) Spec {
 	return s
 }
 
-// runFrameLoopApp drives a vsync-paced app whose content is produced by the
-// GPU itself (game render loop) or the CPU (Skia UI), composited through
+// startFrameLoopApp starts a vsync-paced app whose content is produced by
+// the GPU itself (game render loop) or the CPU (Skia UI), composited through
 // SVM display buffers (§5.5: SVM is used by Skia and SurfaceFlinger even in
 // ordinary apps).
-func runFrameLoopApp(e *emulator.Emulator, kind PopularKind, spec Spec) (*Result, error) {
+func startFrameLoopApp(e *emulator.Emulator, kind PopularKind, spec Spec) *Pending {
 	stop := e.Env.Now() + spec.Duration
-	var s *sink
-	var setupErr error
+	pd := &Pending{e: e, spec: spec, stop: stop}
 	e.Env.Spawn("app-main", func(p *sim.Proc) {
 		// Double-buffered display surfaces the app renders into.
 		q, err := guest.NewBufferQueue(p, e.HAL, 2, spec.DisplayFrameBytes())
 		if err != nil {
-			setupErr = err
+			pd.err = err
 			return
 		}
 		// The status-bar/HUD overlay is small next to the app surface.
@@ -112,7 +113,7 @@ func runFrameLoopApp(e *emulator.Emulator, kind PopularKind, spec Spec) (*Result
 		overlaySpec.UIDirtyFraction = 0.08
 		ui, err := newUIOverlay(p, e, &overlaySpec, stop)
 		if err != nil {
-			setupErr = err
+			pd.err = err
 			return
 		}
 		period := spec.FramePeriod()
@@ -162,9 +163,9 @@ func runFrameLoopApp(e *emulator.Emulator, kind PopularKind, spec Spec) (*Result
 				q.Queue(rp, b)
 			}
 		})
-		s = &sink{
+		pd.s = &sink{
 			e:    e,
-			spec: &spec,
+			spec: &pd.spec,
 			q:    q,
 			ui:   ui,
 			stop: stop,
@@ -175,13 +176,7 @@ func runFrameLoopApp(e *emulator.Emulator, kind PopularKind, spec Spec) (*Result
 		}
 		// Games and UI apps self-pace: the compositor latches the newest
 		// frame rather than enforcing media timestamps.
-		s.run(p)
+		pd.s.run(p)
 	})
-	e.Env.RunUntil(stop)
-	if setupErr != nil {
-		return nil, setupErr
-	}
-	r := s.result(e, &spec)
-	r.App = spec.Name
-	return r, nil
+	return pd
 }

@@ -30,14 +30,14 @@ func (pd *Pending) Stop() time.Duration { return pd.stop }
 // Wait finalizes the app after the environment has been driven to (at
 // least) its stop time.
 func (pd *Pending) Wait() (*Result, error) {
+	if pd.e.Env.Now() < pd.stop {
+		return nil, fmt.Errorf("workload: environment not driven to %v yet", pd.stop)
+	}
 	if pd.err != nil {
 		return nil, pd.err
 	}
 	if pd.s == nil {
 		return nil, fmt.Errorf("workload: app never started")
-	}
-	if pd.e.Env.Now() < pd.stop {
-		return nil, fmt.Errorf("workload: environment not driven to %v yet", pd.stop)
 	}
 	return pd.s.result(pd.e, &pd.spec), nil
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/device"
@@ -59,9 +60,6 @@ func newUIOverlay(p *sim.Proc, e *emulator.Emulator, spec *Spec, stop time.Durat
 	return ui, nil
 }
 
-// debugSink enables drop tracing during calibration.
-var debugSink = false
-
 // sink is the consumer end of every pipeline: a SurfaceFlinger-style
 // renderer that paces frames against their presentation timestamps, drops
 // stale or deadline-missing frames (§5.4's MediaCodec semantics), composites
@@ -98,11 +96,13 @@ type sink struct {
 	deadlineDrops int
 }
 
+// run is the sink's one frame loop. Only the choice of frame differs by
+// mode: strict-PTS pacing holds a frame to its timestamp slot (discarding it
+// unrendered when the backlog has made it stale), while the compositor
+// drains the queue to the freshest frame and latches it at the next
+// refresh. Either way the frame is rendered, composited with the UI
+// overlay, and presented; only strict-PTS frames can miss their deadline.
 func (s *sink) run(p *sim.Proc) {
-	if !s.strictPTS {
-		s.runLatestWins(p)
-		return
-	}
 	period := s.spec.FramePeriod()
 	tol := s.spec.StaleTolerance
 	pf := s.e.Env.Profiler()
@@ -118,39 +118,49 @@ func (s *sink) run(p *sim.Proc) {
 		if pf != nil {
 			pf.Wait(p, "buffer:acquire", acqStart, b.Ticket.ProfNode())
 		}
-		backlog := s.q.FilledCount()
-		if anchor < 0 {
-			anchor = p.Now() - b.PTS
-		}
-		sched := anchor + b.PTS
-		if late := p.Now() - sched; late > 0 && backlog == 0 {
-			// Producer-limited playback: the frame arrived behind the
-			// media clock with nothing queued behind it. The player
-			// re-anchors to the arrival rate instead of discarding
-			// everything (slow-but-shown, §5.3's GAE behaviour).
-			anchor = p.Now() - b.PTS
-			sched = p.Now()
-		} else if late > tol {
-			// Renderer-limited backlog: discard the stale frame without
-			// rendering (releaseOutputBuffer(render=false)).
-			s.fps.Drop()
-			s.staleDrops++
-			if fo := s.e.FrameObs; fo != nil {
-				fo.FrameDropped(p.Now())
+		deadline := time.Duration(math.MaxInt64) // compositor frames always present
+		if s.strictPTS {
+			backlog := s.q.FilledCount()
+			if anchor < 0 {
+				anchor = p.Now() - b.PTS
 			}
-			if debugSink {
-				println("STALE", int64(p.Now()/1e6), "seq", b.Seq, "late_ms", int64(late/1e6), "backlog", backlog)
+			sched := anchor + b.PTS
+			if late := p.Now() - sched; late > 0 && backlog == 0 {
+				// Producer-limited playback: the frame arrived behind the
+				// media clock with nothing queued behind it. The player
+				// re-anchors to the arrival rate instead of discarding
+				// everything (slow-but-shown, §5.3's GAE behaviour).
+				anchor = p.Now() - b.PTS
+				sched = p.Now()
+			} else if late > tol {
+				// Renderer-limited backlog: discard the stale frame without
+				// rendering (releaseOutputBuffer(render=false)).
+				s.drop(p.Now(), &s.staleDrops)
+				s.q.Release(p, b)
+				continue
 			}
-			s.q.Release(p, b)
-			continue
-		}
-		if wait := sched - p.Now(); wait > 0 {
-			paceStart := p.Now()
-			p.Sleep(wait)
+			if wait := sched - p.Now(); wait > 0 {
+				paceStart := p.Now()
+				p.Sleep(wait)
+				if pf != nil {
+					// Intentional idle: waiting for the frame's PTS slot,
+					// not a component at fault.
+					pf.Charge(p, "pacing", paceStart)
+				}
+			}
+			deadline = sched + period + tol
+		} else {
+			// Compositor: drain to the freshest frame, dropping older ones
+			// unrendered, and latch it at the next refresh.
+			for nb, ok := s.q.TryAcquire(); ok; nb, ok = s.q.TryAcquire() {
+				s.drop(p.Now(), &s.staleDrops)
+				s.q.Release(p, b)
+				b = nb
+			}
+			vsStart := p.Now()
+			s.e.VSync.Wait(p)
 			if pf != nil {
-				// Intentional idle: waiting for the frame's PTS slot, not
-				// a component at fault.
-				pf.Charge(p, "pacing", paceStart)
+				pf.Wait(p, "vsync:wait", vsStart, nil)
 			}
 		}
 		if s.cpuPerFrame > 0 {
@@ -174,20 +184,12 @@ func (s *sink) run(p *sim.Proc) {
 			})
 		}
 		src := b.SourceTime
-		deadline := sched + period + tol
 		s.e.Display.Submit(p, device.Op{
 			Kind: device.OpExec, Exec: 200 * time.Microsecond, After: last, Commands: 4,
 			OnComplete: func(at time.Duration) {
 				if at > deadline {
 					// Rendered but missed the presentation window.
-					s.fps.Drop()
-					s.deadlineDrops++
-					if fo := s.e.FrameObs; fo != nil {
-						fo.FrameDropped(at)
-					}
-					if debugSink {
-						println("DEADLINE", int64(at/1e6), "sched", int64(sched/1e6), "deadline", int64(deadline/1e6))
-					}
+					s.drop(at, &s.deadlineDrops)
 					return
 				}
 				s.fps.Present(at)
@@ -214,81 +216,14 @@ func (s *sink) run(p *sim.Proc) {
 	pf.Bind(p, nil)
 }
 
-// runLatestWins is the compositor path: drain the queue to the freshest
-// frame (dropping older ones unrendered), latch at the next refresh, and
-// present unconditionally.
-func (s *sink) runLatestWins(p *sim.Proc) {
-	pf := s.e.Env.Profiler()
-	for p.Now() < s.stop {
-		var frame *prof.Node
-		if pf != nil {
-			frame = pf.NewNode("frame", "app")
-			pf.Bind(p, frame)
-		}
-		acqStart := p.Now()
-		b := s.q.Acquire(p)
-		if pf != nil {
-			pf.Wait(p, "buffer:acquire", acqStart, b.Ticket.ProfNode())
-		}
-		for {
-			nb, ok := s.q.TryAcquire()
-			if !ok {
-				break
-			}
-			s.fps.Drop()
-			s.staleDrops++
-			if fo := s.e.FrameObs; fo != nil {
-				fo.FrameDropped(p.Now())
-			}
-			s.q.Release(p, b)
-			b = nb
-		}
-		vsStart := p.Now()
-		s.e.VSync.Wait(p)
-		if pf != nil {
-			pf.Wait(p, "vsync:wait", vsStart, nil)
-		}
-		if s.cpuPerFrame > 0 {
-			s.e.Machine.CPU.Exec(p, s.cpuPerFrame)
-		}
-		if s.appWork != nil {
-			s.e.Machine.CPU.Exec(p, s.appWork())
-		}
-		last := s.e.GPU.Submit(p, device.Op{
-			Kind: device.OpRead, Region: b.Region, Bytes: b.Dirty,
-			Exec: s.renderExec(), After: b.Ticket, Commands: 30,
-		})
-		if s.ui != nil {
-			last = s.e.GPU.Submit(p, device.Op{
-				Kind: device.OpRead, Region: s.ui.region, Bytes: s.ui.dirty,
-				Exec: s.e.RenderCost(s.ui.mp), After: last, Commands: 20,
-			})
-		}
-		src := b.SourceTime
-		s.e.Display.Submit(p, device.Op{
-			Kind: device.OpExec, Exec: 200 * time.Microsecond, After: last, Commands: 4,
-			OnComplete: func(at time.Duration) {
-				s.fps.Present(at)
-				if fo := s.e.FrameObs; fo != nil {
-					fo.FramePresented(at)
-				}
-				if s.measureLatency && src > 0 {
-					s.lat.AddDuration(at - src)
-					if fo := s.e.FrameObs; fo != nil {
-						fo.MotionToPhoton(at, at-src)
-					}
-				}
-				pf.FrameDone(frame, at)
-			},
-		})
-		readyStart := p.Now()
-		last.Ready.Wait(p)
-		if pf != nil {
-			pf.Wait(p, "ready:wait", readyStart, last.ProfNode())
-		}
-		s.q.Release(p, b)
+// drop discards one frame at time at, counting it in count (staleDrops or
+// deadlineDrops).
+func (s *sink) drop(at time.Duration, count *int) {
+	s.fps.Drop()
+	*count++
+	if fo := s.e.FrameObs; fo != nil {
+		fo.FrameDropped(at)
 	}
-	pf.Bind(p, nil)
 }
 
 // result assembles the run's Result.

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +20,23 @@ func emerging(t *testing.T, preset emulator.Preset, cat int, seed int64, dur tim
 		t.Fatalf("%s/%s: %v", preset.Name, emulator.CategoryNames[cat], err)
 	}
 	return r, sess
+}
+
+// popular runs one popular app of kind through StartPopular's Pending.
+func popular(t *testing.T, preset emulator.Preset, kind PopularKind, seed int64, dur time.Duration) *Result {
+	t.Helper()
+	sess := NewSession(preset, hostsim.HighEndDesktop, seed)
+	defer sess.Close()
+	pd, err := StartPopular(sess.Emulator, kind, PopularSpec(kind, 0, dur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Env.RunUntil(pd.Stop())
+	r, err := pd.Wait()
+	if err != nil {
+		t.Fatalf("%s/%s: %v", preset.Name, kind, err)
+	}
+	return r
 }
 
 func TestSpecDefaults(t *testing.T) {
@@ -195,14 +214,7 @@ func TestPopularMixCovers25(t *testing.T) {
 func TestPopularHeavy3DVSoCMatchesTrinity(t *testing.T) {
 	// §5.3: "vSoC improves FPS of heavy-3D apps by only 1%" over Trinity.
 	run := func(p emulator.Preset) float64 {
-		sess := NewSession(p, hostsim.HighEndDesktop, 21)
-		defer sess.Close()
-		spec := PopularSpec(PopularHeavy3D, 0, 10*time.Second)
-		r, err := RunPopular(sess.Emulator, PopularHeavy3D, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.FPS
+		return popular(t, p, PopularHeavy3D, 21, 10*time.Second).FPS
 	}
 	v, tr := run(emulator.VSoC()), run(emulator.Trinity())
 	if v < tr-1 {
@@ -219,14 +231,7 @@ func TestPopularHeavy3DVSoCMatchesTrinity(t *testing.T) {
 
 func TestPopularUIAppsBenefitFromSVM(t *testing.T) {
 	run := func(p emulator.Preset) float64 {
-		sess := NewSession(p, hostsim.HighEndDesktop, 23)
-		defer sess.Close()
-		spec := PopularSpec(PopularUI, 0, 10*time.Second)
-		r, err := RunPopular(sess.Emulator, PopularUI, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.FPS
+		return popular(t, p, PopularUI, 23, 10*time.Second).FPS
 	}
 	if v, g := run(emulator.VSoC()), run(emulator.GAE()); v <= g {
 		t.Fatalf("vSoC UI app %.1f should beat GAE %.1f (Skia over SVM, §5.5)", v, g)
@@ -404,5 +409,46 @@ func TestWaitBeforeDrivenErrors(t *testing.T) {
 	}
 	if _, err := pd.Wait(); err == nil {
 		t.Fatal("Wait before RunUntil should error")
+	}
+}
+
+func TestStartPopularPendingLifecycle(t *testing.T) {
+	for _, kind := range []PopularKind{PopularHeavy3D, PopularUI, PopularSocialVideo} {
+		sess := NewSession(emulator.VSoC(), hostsim.HighEndDesktop, 55)
+		spec := PopularSpec(kind, 0, 3*time.Second)
+		pd, err := StartPopular(sess.Emulator, kind, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pd.Wait(); err == nil || !strings.Contains(err.Error(), "not driven") {
+			t.Fatalf("%s: Wait before RunUntil = %v, want the not-driven error", kind, err)
+		}
+		// Driving part of the way is still not enough.
+		sess.Env.RunUntil(pd.Stop() / 2)
+		if _, err := pd.Wait(); err == nil || !strings.Contains(err.Error(), "not driven") {
+			t.Fatalf("%s: Wait at half time = %v, want the not-driven error", kind, err)
+		}
+		sess.Env.RunUntil(pd.Stop())
+		got, err := pd.Wait()
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.App != spec.Name || got.Frames == 0 {
+			t.Fatalf("%s: result %+v, want %s with frames", kind, got, spec.Name)
+		}
+		// An equal-seed session driven to the stop in one go gives the
+		// same result.
+		if want := popular(t, emulator.VSoC(), kind, 55, 3*time.Second); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Pending result differs from an equal-seed run:\n%+v\n%+v", kind, got, want)
+		}
+	}
+}
+
+func TestStartPopularRejectsUnknownKind(t *testing.T) {
+	sess := NewSession(emulator.VSoC(), hostsim.HighEndDesktop, 1)
+	defer sess.Close()
+	if _, err := StartPopular(sess.Emulator, PopularKind(99), PopularSpec(PopularUI, 0, time.Second)); err == nil {
+		t.Fatal("an unknown popular kind must be an error")
 	}
 }
