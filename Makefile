@@ -8,8 +8,8 @@ GOFMT ?= gofmt
 # BENCH is the bench trajectory file this tree writes (BENCH.json +
 # BENCH.folded); BENCH_BASE is the committed trajectory perf-gate diffs it
 # against. Bump both here, nowhere else.
-BENCH ?= BENCH_PR17
-BENCH_BASE ?= BENCH_PR16
+BENCH ?= BENCH_PR18
+BENCH_BASE ?= BENCH_PR17
 
 .PHONY: check build vet fmt-check test docs-check hostbench-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
 
@@ -67,11 +67,11 @@ chaos-smoke:
 
 # Observability gate: a traced robustness run must emit per-cell Perfetto
 # JSON that tracecheck accepts (valid JSON, required trace-event keys), and
-# a fleet-instrumented shardscale run must emit per-shard-count fleet
-# counter traces whose track names tracecheck recognizes (§13).
+# a traced shardscale run must emit per-shard-count fleet counter traces
+# whose track names tracecheck recognizes (§13).
 trace-smoke:
 	$(GO) run ./cmd/vsocbench -exp robustness -duration 12s -trace /tmp/vsoc-trace.json -metrics > /dev/null
-	$(GO) run ./cmd/vsocbench -exp shardscale -duration 4s -shards 2 -fleet -trace /tmp/vsoc-shardscale.json > /dev/null
+	$(GO) run ./cmd/vsocbench -exp shardscale -duration 4s -shards 2 -trace /tmp/vsoc-shardscale.json > /dev/null
 	$(GO) run ./cmd/tracecheck /tmp/vsoc-trace-*.json /tmp/vsoc-shardscale-fleet-shards*.json
 
 # Config-search gate (DESIGN.md §14): a tiny-budget deterministic search on
@@ -88,27 +88,27 @@ tune-smoke:
 # Telemetry gate (DESIGN.md §15): the monitored phased-load scenario must
 # raise at least one incident, and two equal-seed runs must produce
 # byte-identical monitor reports (vsocmon -digest compares the report
-# fingerprints; cmp the whole files). Two equal-seed vsocsim farm runs with
-# the fleet and monitor attached must write byte-identical monitor reports
-# too, so vsocsim's farm mode runs under a gate.
+# fingerprints; cmp the whole files). Two equal-seed vsocsim farm runs must
+# write byte-identical monitor reports too, so vsocsim's farm mode runs
+# under a gate.
 mon-smoke:
 	$(GO) run ./cmd/vsocbench -exp phasedload -duration 16s -seed 1 -monout /tmp/vsoc-mon-a.json > /dev/null
 	$(GO) run ./cmd/vsocbench -exp phasedload -duration 16s -seed 1 -monout /tmp/vsoc-mon-b.json > /dev/null
 	$(GO) run ./cmd/vsocmon -min-incidents 1 -digest /tmp/vsoc-mon-a.json /tmp/vsoc-mon-b.json
 	cmp /tmp/vsoc-mon-a.json /tmp/vsoc-mon-b.json
-	$(GO) run ./cmd/vsocsim -app camera -shards 2 -fleet -mon -duration 2s -seed 1 -monout /tmp/vsoc-farm-mon-a.json > /dev/null
-	$(GO) run ./cmd/vsocsim -app camera -shards 2 -fleet -mon -duration 2s -seed 1 -monout /tmp/vsoc-farm-mon-b.json > /dev/null
+	$(GO) run ./cmd/vsocsim -app camera -shards 2 -duration 2s -seed 1 -monout /tmp/vsoc-farm-mon-a.json > /dev/null
+	$(GO) run ./cmd/vsocsim -app camera -shards 2 -duration 2s -seed 1 -monout /tmp/vsoc-farm-mon-b.json > /dev/null
 	cmp /tmp/vsoc-farm-mon-a.json /tmp/vsoc-farm-mon-b.json
 
 # Benchmark trajectory: the profiled micro run (Fig. 16 + critical-path
 # attribution, DESIGN.md §10) with chunked demand fetches on (§11), plus the
-# sharded-farm sweep (§12) at four shards with fleet telemetry attached
-# (§13), plus the monitored phased-load scenario (§15) — incident counts
-# and the first-trigger window join the trajectory — written as one
-# machine-readable bench report plus the micro run's folded-stack
-# flamegraph. CI uploads both as artifacts.
+# sharded-farm sweep (§12) at four shards with its fleet telemetry (§13)
+# and monitor (§15), plus the monitored phased-load scenario (§15) —
+# incident counts and the first-trigger window join the trajectory —
+# written as one machine-readable bench report plus the micro run's
+# folded-stack flamegraph. CI uploads both as artifacts.
 bench:
-	$(GO) run ./cmd/vsocbench -exp micro,shardscale,phasedload -duration 8s -apps 2 -fetch -shards 4 -fleet -json $(BENCH).json -profile $(BENCH).folded > /dev/null
+	$(GO) run ./cmd/vsocbench -exp micro,shardscale,phasedload -duration 8s -apps 2 -fetch -shards 4 -json $(BENCH).json -profile $(BENCH).folded > /dev/null
 
 # The shardscale events/s, speedup, and fleet barrier-stall metrics measure
 # the build host's wall clock, not the simulation; gate them at a wide 90%

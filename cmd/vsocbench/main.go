@@ -9,7 +9,7 @@
 //	vsocbench [-exp <name>[,<name>...]] [-duration 30s] [-apps 10]
 //	          [-popular 25] [-seed 1] [-workers 0] [-trace out.json]
 //	          [-metrics] [-profile out.folded] [-json bench.json] [-fetch]
-//	          [-shards N] [-fleet]
+//	          [-shards N] [-monout mon.json]
 //
 // Run with -h for the experiment list; names, aliases, ordering, and the
 // per-experiment -trace behavior all come from the shared experiments
@@ -27,25 +27,20 @@
 // build without the observability layer.
 //
 // `-exp all` runs every registered experiment marked InAll, so its output
-// stays comparable across builds; -h lists the ones it skips. -trace and
-// -profile exit 2 when no selected experiment would honor them, as does a
-// non-positive -duration or -apps, or a negative -popular, -workers or
-// -shards.
+// stays comparable across builds; -h lists the ones it skips. -trace,
+// -profile and -monout exit 2 when no selected experiment would honor
+// them, as does a non-positive -duration or -apps, or a negative -popular,
+// -workers or -shards.
 //
-// -fleet enables the fleet/scheduler observability layer (DESIGN.md §13)
-// for the shardscale farm: per-tenant QoS/SLO tracking, the deterministic
-// fleet report (byte-identical at every shard count), and the wall-clock
-// barrier-stall attribution table. Observe-only: simulation results are
-// byte-identical with it on or off. With -trace it also writes one
-// fleet-counter trace per shard count.
-//
-// -mon enables the streaming telemetry engine (DESIGN.md §15) for the
-// experiments that support it: windowed virtual-time rollups, online
-// SLO/anomaly detectors, and the incident flight recorder. The phasedload
-// scenario monitors unconditionally (monitoring is its subject); the
-// shardscale farm monitors when -mon is set, with a report byte-identical
-// at every shard count. -monout writes the machine-readable monitor
-// report for cmd/vsocmon to render.
+// The shardscale farm always runs the fleet/scheduler observability layer
+// (DESIGN.md §13) — per-tenant QoS/SLO tracking, the deterministic fleet
+// report (byte-identical at every shard count), and the wall-clock
+// barrier-stall attribution table — and the streaming telemetry engine
+// (DESIGN.md §15): windowed virtual-time rollups, online SLO/anomaly
+// detectors, and the incident flight recorder. Both are observe-only.
+// With -trace the farm also writes one fleet-counter trace per shard
+// count. -monout writes the machine-readable monitor report of phasedload
+// or the shardscale farm (one per shard count) for cmd/vsocmon to render.
 //
 // -profile writes the critical-path profiler's folded-stack flamegraph
 // export for the experiments that support it (micro); feed it to any
@@ -77,10 +72,8 @@ func main() {
 	profilePath := flag.String("profile", "", "write the folded-stack flamegraph export where the experiment supports it (see -h)")
 	jsonPath := flag.String("json", "", "write the machine-readable bench report (for cmd/vsocperf) to this path")
 	fetch := flag.Bool("fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11) for supporting experiments (micro, fig16)")
-	shards := flag.Int("shards", 0, "shard count for the shardscale farm (DESIGN.md §12): 0 sweeps 1,2,4,8; N>1 runs 1 and N")
-	fleet := flag.Bool("fleet", false, "enable fleet/scheduler telemetry (DESIGN.md §13) for the shardscale farm: QoS/SLO report and barrier-stall attribution")
-	mon := flag.Bool("mon", false, "enable the streaming telemetry engine (DESIGN.md §15) for supporting experiments (shardscale); phasedload monitors unconditionally")
-	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path; the shardscale farm derives one path per shard count")
+	shards := flag.Int("shards", 0, "shard count for the shardscale farm (DESIGN.md §12): 0 sweeps 1,2,4; N>1 runs 1 and N (at most the farm's 4 guests)")
+	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) where the experiment supports it (phasedload, shardscale); the shardscale farm derives one path per shard count")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
@@ -107,8 +100,6 @@ func main() {
 		ProfilePath:     *profilePath,
 		Fetch:           *fetch,
 		Shards:          *shards,
-		Fleet:           *fleet,
-		Monitor:         *mon,
 		MonPath:         *monOut,
 	}
 	entries, labels, err := checkArgs(*exp, cfg)
@@ -144,13 +135,13 @@ func main() {
 }
 
 // checkArgs resolves -exp and rejects a command line that would run nothing
-// useful: an unknown experiment, -trace or -profile that no selected
-// experiment honors, or a configuration Validate rejects (e.g. -apps 0
-// or -duration -1s, which would print an all-n/a table).
+// useful: an unknown experiment, -trace, -profile or -monout that no
+// selected experiment honors, or a configuration Validate rejects (e.g.
+// -apps 0 or -duration -1s, which would print an all-n/a table).
 func checkArgs(exp string, cfg experiments.Config) ([]experiments.Entry, []string, error) {
 	entries, labels, err := selectExperiments(exp)
 	if err == nil {
-		err = checkIgnored(entries, cfg.TracePath, cfg.ProfilePath)
+		err = checkIgnored(entries, cfg.TracePath, cfg.ProfilePath, cfg.MonPath)
 	}
 	if err == nil {
 		err = cfg.Validate()
@@ -189,19 +180,23 @@ func selectExperiments(exp string) (entries []experiments.Entry, labels []string
 	return entries, labels, nil
 }
 
-// checkIgnored rejects -trace and -profile when no selected experiment
-// would honor them, rather than silently writing nothing.
-func checkIgnored(entries []experiments.Entry, tracePath, profilePath string) error {
-	var traced, profiled bool
+// checkIgnored rejects -trace, -profile and -monout when no selected
+// experiment would honor them, rather than silently writing nothing.
+func checkIgnored(entries []experiments.Entry, tracePath, profilePath, monPath string) error {
+	var traced, profiled, monitored bool
 	for _, e := range entries {
 		traced = traced || e.Trace != ""
 		profiled = profiled || e.Profile != ""
+		monitored = monitored || e.WritesMonitorReport()
 	}
 	if tracePath != "" && !traced {
 		return errors.New("-trace: no selected experiment writes a trace")
 	}
 	if profilePath != "" && !profiled {
 		return errors.New("-profile: no selected experiment writes a profile")
+	}
+	if monPath != "" && !monitored {
+		return errors.New("-monout: no selected experiment writes a monitor report")
 	}
 	return nil
 }

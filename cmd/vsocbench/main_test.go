@@ -69,7 +69,7 @@ func TestCheckIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: selectExperiments(%q): %v", c.name, c.exp, err)
 		}
-		err = checkIgnored(entries, c.trace, c.profile)
+		err = checkIgnored(entries, c.trace, c.profile, "")
 		if (err == nil) != c.ok {
 			t.Errorf("%s: checkIgnored = %v, want ok=%v", c.name, err, c.ok)
 		}
@@ -100,6 +100,11 @@ func TestCheckArgs(t *testing.T) {
 		{"-workers -3", "all", with(func(c *experiments.Config) { c.Workers = -3 }), false},
 		{"unknown experiment", "nope", defaults, false},
 		{"ignored -profile", "fig16", with(func(c *experiments.Config) { c.ProfilePath = "out.folded" }), false},
+		{"-monout on phasedload", "phasedload", with(func(c *experiments.Config) { c.MonPath = "mon.json" }), true},
+		{"-monout on shardscale", "shardscale", with(func(c *experiments.Config) { c.MonPath = "mon.json" }), true},
+		{"-monout with one monitored", "fig10,phasedload", with(func(c *experiments.Config) { c.MonPath = "mon.json" }), true},
+		{"ignored -monout", "fig10", with(func(c *experiments.Config) { c.MonPath = "mon.json" }), false},
+		{"ignored -monout on all", "all", with(func(c *experiments.Config) { c.MonPath = "mon.json" }), false},
 	}
 	for _, c := range cases {
 		if _, _, err := checkArgs(c.exp, c.cfg); (err == nil) != c.ok {

@@ -7,29 +7,28 @@
 //	vsocsim [-emulator vsoc|gae|qemu|ldplayer|bluestacks|trinity|vsoc-noprefetch|vsoc-nofence]
 //	        [-machine highend|midend|pixel]
 //	        [-app uhd|360|camera|ar|livestream|heavy3d|ui|social]
-//	        [-duration 30s] [-seed 1] [-v] [-shards N] [-fleet]
+//	        [-duration 30s] [-seed 1] [-v] [-shards N | -mon]
+//	        [-monout mon.json]
 //
 // With -shards N the command switches to farm mode: N guest instances of
 // the app run on one physical host under the conservative parallel
 // scheduler (DESIGN.md §12), one shard per guest, with the shared-host
 // arbiter coupling their PCIe links at window barriers. Per-guest results
 // are deterministic — identical at every N — while the trailing events/s
-// line measures the host's parallel throughput.
+// line measures the host's parallel throughput. Every farm is watched by
+// the fleet/scheduler observability layer (DESIGN.md §13), which appends
+// the per-tenant QoS/SLO fleet report and the wall-clock barrier-stall
+// attribution table, and by the streaming telemetry engine (DESIGN.md
+// §15), whose windows seal at shard barriers, so its report is
+// byte-identical at every -shards count. Both are observe-only.
 //
-// -fleet (farm mode only) attaches the fleet/scheduler observability layer
-// (DESIGN.md §13): it appends the per-tenant QoS/SLO fleet report and the
-// wall-clock barrier-stall attribution table. Observe-only — per-guest
-// results are byte-identical with it on or off.
-//
-// -mon attaches the streaming telemetry engine (DESIGN.md §15): windowed
-// virtual-time rollups, online SLO/anomaly detectors, and the incident
-// flight recorder. In single mode the run is driven at window grain
-// (emerging apps only); in farm mode windows seal at shard barriers, so
-// the report is byte-identical at every -shards count. Observe-only like
-// -fleet. -monout writes the machine-readable monitor report for
-// cmd/vsocmon to render. A flag the run would ignore (-fleet without
-// -shards, -monout without -mon), a non-positive -duration and a negative
-// -shards are usage errors, exit 2.
+// -mon runs one guest with the streaming telemetry engine attached:
+// windowed virtual-time rollups, online SLO/anomaly detectors, and the
+// incident flight recorder, with the run driven at window grain (emerging
+// apps only). -monout writes the machine-readable monitor report of a -mon
+// or farm run for cmd/vsocmon to render. A flag the run would ignore
+// (-mon with -shards, -monout without -mon or -shards), a non-positive
+// -duration and a negative -shards are usage errors, exit 2.
 package main
 
 import (
@@ -73,12 +72,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	verbose := flag.Bool("v", false, "print SVM internals")
 	fetch := flag.Bool("fetch", false, "enable chunked, DMA-promoted demand fetches (DESIGN.md §11)")
-	shards := flag.Int("shards", 0, "farm mode: run N guest instances under the sharded scheduler (DESIGN.md §12); 0 = single instance")
-	fleet := flag.Bool("fleet", false, "farm mode: append the fleet QoS/SLO report and barrier-stall attribution (DESIGN.md §13)")
-	mon := flag.Bool("mon", false, "attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
-	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) to this path")
+	shards := flag.Int("shards", 0, "farm mode: run N guest instances under the sharded scheduler (DESIGN.md §12) with the fleet report (§13) and monitor (§15) attached; 0 = single instance")
+	mon := flag.Bool("mon", false, "single mode: attach the streaming telemetry engine (DESIGN.md §15): windowed rollups, online detectors, incident flight recorder")
+	monOut := flag.String("monout", "", "write the machine-readable monitor report (for cmd/vsocmon) of a -mon or -shards run to this path")
 	flag.Parse()
-	if err := checkFlags(*duration, *shards, *fleet, *mon, *monOut); err != nil {
+	if err := checkFlags(*duration, *shards, *mon, *monOut); err != nil {
 		fmt.Fprintln(os.Stderr, "vsocsim:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -98,7 +96,7 @@ func main() {
 		preset.Fetch = hostsim.EnabledFetch()
 	}
 	if *shards > 0 {
-		runFarm(preset, machine, strings.ToLower(*appName), *duration, *seed, *shards, *fleet, *mon, *monOut)
+		runFarm(preset, machine, strings.ToLower(*appName), *duration, *seed, *shards, *monOut)
 		return
 	}
 	if *mon {
@@ -167,18 +165,18 @@ func main() {
 
 // checkFlags rejects flag values no run can use and flag combinations the
 // run would silently ignore.
-func checkFlags(duration time.Duration, shards int, fleet, mon bool, monOut string) error {
+func checkFlags(duration time.Duration, shards int, mon bool, monOut string) error {
 	if duration <= 0 {
 		return fmt.Errorf("-duration must be positive, got %v", duration)
 	}
 	if shards < 0 {
 		return fmt.Errorf("-shards must not be negative, got %d", shards)
 	}
-	if fleet && shards <= 0 {
-		return errors.New("-fleet needs farm mode (-shards N)")
+	if mon && shards > 0 {
+		return errors.New("-mon is the single-guest monitored run; farm mode (-shards N) always monitors")
 	}
-	if monOut != "" && !mon {
-		return errors.New("-monout needs -mon")
+	if monOut != "" && !mon && shards == 0 {
+		return errors.New("-monout needs -mon or farm mode (-shards N)")
 	}
 	return nil
 }
@@ -250,7 +248,7 @@ func runMonitoredSingle(preset emulator.Preset, machine experiments.MachineSpec,
 // runFarm runs n guest instances of the app as a sharded farm: one
 // environment and one shard per guest, coupled through the shared-host
 // arbiter at window barriers.
-func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string, dur time.Duration, seed int64, n int, fleet, monOn bool, monOut string) {
+func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string, dur time.Duration, seed int64, n int, monOut string) {
 	cat, ok := emergingApps[app]
 	if !ok {
 		die("-shards farm mode supports the emerging apps only (uhd, 360, camera, ar, livestream)")
@@ -261,7 +259,7 @@ func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string
 	}
 	f, err := experiments.NewFarm(experiments.FarmConfig{
 		Preset: preset, Machine: machine, Categories: cats, Seed: seed, Duration: dur,
-		Shards: n, Fleet: fleet, Monitor: monOn,
+		Shards: n,
 	})
 	if err != nil {
 		die("%v", err)
@@ -278,15 +276,11 @@ func runFarm(preset emulator.Preset, machine experiments.MachineSpec, app string
 	fmt.Printf("farm: %d guests on %d shards, lookahead %v, %d events in %.2fs wall (%.0f events/s)\n",
 		n, f.Group.Shards(), f.Group.Lookahead(), events, f.Wall.Seconds(),
 		float64(events)/f.Wall.Seconds())
-	if f.Fleet != nil {
-		fmt.Println()
-		fmt.Print(f.Fleet.Report(f.Stop).FormatText())
-		fmt.Println()
-		fmt.Print(f.Fleet.StallReport().FormatText())
-	}
-	if f.Monitor != nil {
-		finishMonitor(f.Monitor, monOut)
-	}
+	fmt.Println()
+	fmt.Print(f.Fleet.Report(f.Stop).FormatText())
+	fmt.Println()
+	fmt.Print(f.Fleet.StallReport().FormatText())
+	finishMonitor(f.Monitor, monOut)
 }
 
 func die(format string, args ...any) {

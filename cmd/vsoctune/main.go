@@ -10,17 +10,15 @@
 // Usage:
 //
 //	vsoctune [-preset vsoc|vsoc-noprefetch|both] [-seed 1] [-budget 40]
-//	         [-randseeds 6] [-patience 2] [-duration 6s] [-apps 2]
-//	         [-workers 0] [-out prefix] [-v]
+//	         [-duration 6s] [-apps 2] [-workers 0] [-out prefix] [-v]
 //
 // -out writes a before/after bench-report pair per preset —
 // <prefix>-<preset>-default.json and <prefix>-<preset>-best.json — for
 // cmd/vsocperf to diff as evidence that the best vector improves the
 // objective without regressing the gated metrics:
 //
-//	vsoctune -preset vsoc-noprefetch -out /tmp/tune
-//	vsocperf -old /tmp/tune-vsoc-noprefetch-default.json \
-//	         -new /tmp/tune-vsoc-noprefetch-best.json
+//	vsoctune -preset vsoc-noprefetch -out tune
+//	vsocperf tune-vsoc-noprefetch-default.json tune-vsoc-noprefetch-best.json
 //
 // Equal seeds reproduce the identical search trajectory, best vector, and
 // reports byte for byte at every -workers setting; -v prints the full
@@ -44,8 +42,6 @@ func main() {
 	preset := flag.String("preset", "both", "preset to tune: vsoc, vsoc-noprefetch, or both")
 	seed := flag.Int64("seed", 1, "search seed (drives random seeding and restarts)")
 	budget := flag.Int("budget", 40, "evaluation budget per preset (cache hits are free)")
-	randseeds := flag.Int("randseeds", 6, "random seed vectors after the axis grid")
-	patience := flag.Int("patience", 2, "consecutive fruitless restarts before stopping")
 	duration := flag.Duration("duration", 6*time.Second, "simulated duration per app session")
 	apps := flag.Int("apps", 2, "apps per video category in the evaluation probe")
 	workers := flag.Int("workers", 0, "concurrent evaluations (0 = one per CPU, 1 = serial)")
@@ -77,12 +73,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opts := tune.Options{
-		Seed:        *seed,
-		Budget:      *budget,
-		RandomSeeds: *randseeds,
-		Patience:    *patience,
-	}
+	opts := tune.Options{Seed: *seed, Budget: *budget}
 
 	wallStart := time.Now()
 	for _, p := range presets {

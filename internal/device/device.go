@@ -54,20 +54,22 @@ var modeNames = map[OrderingMode]string{
 
 func (m OrderingMode) String() string { return modeNames[m] }
 
+// ctxSwitchSync is the stall when a virtual device takes over a physical
+// device from another virtual device under synchronous ordering;
+// ctxSwitchDeferred is the same under fences, which §3.4 applies to GPU
+// context switches precisely to avoid driver stalls.
+const (
+	ctxSwitchSync     = 600 * time.Microsecond
+	ctxSwitchDeferred = 60 * time.Microsecond
+)
+
 // Config parameterizes a virtual device.
 type Config struct {
-	Mode        OrderingMode
-	Transport   virtio.Config
-	FlowControl flowcontrol.Config
-	// UseFlowControl enables MIMD pacing (fence mode benefits; the other
-	// modes self-pace by blocking).
+	Mode      OrderingMode
+	Transport virtio.Config
+	// UseFlowControl enables MIMD pacing with flowcontrol.DefaultConfig()
+	// (fence mode benefits; the other modes self-pace by blocking).
 	UseFlowControl bool
-	// CtxSwitchSync is the stall when this virtual device takes over a
-	// physical device from another virtual device under synchronous
-	// ordering; CtxSwitchDeferred is the same under fences, which §3.4
-	// applies to GPU context switches precisely to avoid driver stalls.
-	CtxSwitchSync     time.Duration
-	CtxSwitchDeferred time.Duration
 	// WatchdogTimeout bounds how long the host executor waits on a wait
 	// fence before giving up and proceeding (GPU-hang recovery): a stalled
 	// signaling device then surfaces as a counted, diagnosable timeout
@@ -78,12 +80,9 @@ type Config struct {
 // DefaultConfig returns a vSoC-style device configuration.
 func DefaultConfig() Config {
 	return Config{
-		Mode:              ModeFence,
-		Transport:         virtio.DefaultConfig(),
-		FlowControl:       flowcontrol.DefaultConfig(),
-		UseFlowControl:    true,
-		CtxSwitchSync:     600 * time.Microsecond,
-		CtxSwitchDeferred: 60 * time.Microsecond,
+		Mode:           ModeFence,
+		Transport:      virtio.DefaultConfig(),
+		UseFlowControl: true,
 	}
 }
 
@@ -239,7 +238,7 @@ func New(env *sim.Env, mgr *svm.Manager, name string, vid, pid hypergraph.NodeID
 		d.timeoutCtr = reg.Counter("dev." + name + ".fence_timeouts")
 	}
 	if cfg.UseFlowControl && cfg.Mode == ModeFence {
-		d.mimd = flowcontrol.New(env, cfg.FlowControl)
+		d.mimd = flowcontrol.New(env, flowcontrol.DefaultConfig())
 	}
 	if d.pf = env.Profiler(); d.pf != nil {
 		for _, k := range []OpKind{OpWrite, OpRead, OpExec} {
@@ -480,9 +479,9 @@ func (d *Device) execute(p *sim.Proc, ho *hostOp) svm.EndInfo {
 		}
 		ctxStart := p.Now()
 		if d.cfg.Mode == ModeFence {
-			p.Sleep(d.cfg.CtxSwitchDeferred)
+			p.Sleep(ctxSwitchDeferred)
 		} else {
-			p.Sleep(d.cfg.CtxSwitchSync)
+			p.Sleep(ctxSwitchSync)
 		}
 		if d.pf != nil {
 			d.pf.Charge(p, d.lblCtx, ctxStart)

@@ -89,8 +89,9 @@ func (t guestTee) DemandFetch(at, latency time.Duration) {
 }
 
 // FarmConfig declares a farm (DESIGN.md §12): one guest per entry of
-// Categories, run for Duration on Shards shards, watched by the fleet
-// layer (§13, with a tracer when Trace is set) and the monitor (§15).
+// Categories, run for Duration on Shards shards. Every farm is watched by
+// the fleet layer (§13, with a tracer when Trace is set) and the monitor
+// (§15); both are observe-only.
 type FarmConfig struct {
 	Preset     emulator.Preset
 	Machine    MachineSpec
@@ -98,9 +99,7 @@ type FarmConfig struct {
 	Seed       int64
 	Duration   time.Duration
 	Shards     int
-	Fleet      bool
 	Trace      bool
-	Monitor    bool
 }
 
 // Farm is several guests sharing one physical host: a session and sim.Env
@@ -111,35 +110,30 @@ type FarmConfig struct {
 type Farm struct {
 	Sessions []*workload.Session
 	Group    *sim.ShardGroup
-	Fleet    *fleetobs.Fleet // nil unless FarmConfig.Fleet
-	Monitor  *tsmon.Monitor  // nil unless FarmConfig.Monitor
-	Stop     time.Duration   // the last guest's stop time: Run's horizon
-	Windows  int             // barriers passed
-	Wall     time.Duration   // Run's wall-clock time
+	Fleet    *fleetobs.Fleet
+	Monitor  *tsmon.Monitor
+	Stop     time.Duration // the last guest's stop time: Run's horizon
+	Windows  int           // barriers passed
+	Wall     time.Duration // Run's wall-clock time
 
 	pend []*workload.Pending
 }
 
 // NewFarm builds a farm: one session per guest, seeded from the farm seed,
-// with its observers attached and its app started; then the shared host
-// and the shard group. A guest that cannot start (a category the preset
-// lacks) is an error, and every session already built is closed.
+// with its fleet and monitor tenants attached and its app started; then
+// the shared host and the shard group. A guest that cannot start (a
+// category the preset lacks) is an error, and every session already built
+// is closed.
 func NewFarm(cfg FarmConfig) (*Farm, error) {
-	f := &Farm{}
 	tenants := make([]fleetobs.TenantConfig, len(cfg.Categories))
 	for g, cat := range cfg.Categories {
 		tenants[g] = FarmTenant(g, cat)
 	}
-	if cfg.Fleet {
-		fcfg := fleetobs.Config{Registry: obs.NewRegistry(), Tenants: tenants}
-		if cfg.Trace {
-			fcfg.Tracer = obs.NewTracer()
-		}
-		f.Fleet = fleetobs.New(fcfg)
+	fcfg := fleetobs.Config{Registry: obs.NewRegistry(), Tenants: tenants}
+	if cfg.Trace {
+		fcfg.Tracer = obs.NewTracer()
 	}
-	if cfg.Monitor {
-		f.Monitor = tsmon.New(tsmon.Config{Tenants: tenants})
-	}
+	f := &Farm{Fleet: fleetobs.New(fcfg), Monitor: tsmon.New(tsmon.Config{Tenants: tenants})}
 
 	var envs []*sim.Env
 	var machs []*hostsim.Machine
@@ -147,16 +141,9 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 		sess := workload.NewSession(cfg.Preset, cfg.Machine.New, appSeed(cfg.Seed, 700+g, cat, 0))
 		f.Sessions = append(f.Sessions, sess)
 		envs, machs = append(envs, sess.Env), append(machs, sess.Machine)
-		var observers []GuestObserver
-		if f.Fleet != nil {
-			observers = append(observers, f.Fleet.Tenant(g))
-		}
-		if f.Monitor != nil {
-			mt := f.Monitor.Tenant(g)
-			observers = append(observers, mt)
-			MonitorProbes(mt, sess)
-		}
-		ObserveGuest(sess, observers...)
+		mt := f.Monitor.Tenant(g)
+		MonitorProbes(mt, sess)
+		ObserveGuest(sess, f.Fleet.Tenant(g), mt)
 		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, g, cfg.Duration))
 		if err != nil {
 			f.Close()
@@ -170,14 +157,10 @@ func NewFarm(cfg FarmConfig) (*Farm, error) {
 	f.Group = sim.NewShardGroup(sh.Lookahead(), cfg.Shards, envs...)
 	sh.Attach(f.Group)
 	f.Group.AtBarrier(func(prev, now time.Duration) { f.Windows++ })
-	if f.Fleet != nil {
-		f.Fleet.Attach(f.Group, sh)
-	}
-	if f.Monitor != nil {
-		// Barriers are the farm's global seal points: at each one every
-		// guest has advanced to `now`, so all samples below it are recorded.
-		f.Group.AtBarrier(func(prev, now time.Duration) { f.Monitor.Seal(now) })
-	}
+	f.Fleet.Attach(f.Group, sh)
+	// Barriers are the farm's global seal points: at each one every guest
+	// has advanced to `now`, so all samples below it are recorded.
+	f.Group.AtBarrier(func(prev, now time.Duration) { f.Monitor.Seal(now) })
 	return f, nil
 }
 
@@ -187,12 +170,8 @@ func (f *Farm) Run() ([]*workload.Result, error) {
 	start := time.Now()
 	f.Group.RunUntil(f.Stop)
 	f.Wall = time.Since(start)
-	if f.Fleet != nil {
-		f.Fleet.Finalize(f.Stop)
-	}
-	if f.Monitor != nil {
-		f.Monitor.Finalize(f.Stop)
-	}
+	f.Fleet.Finalize(f.Stop)
+	f.Monitor.Finalize(f.Stop)
 	results := make([]*workload.Result, len(f.pend))
 	for g, pd := range f.pend {
 		r, err := pd.Wait()

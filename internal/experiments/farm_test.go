@@ -11,35 +11,61 @@ import (
 	"repro/internal/emulator"
 	"repro/internal/fleetobs"
 	"repro/internal/hostsim"
+	"repro/internal/tsmon"
 	"repro/internal/workload"
 )
 
-// TestFarmObserversComposeObserveOnly runs the shardscale farm with the
-// fleet and the monitor attached together and checks each layer against a
-// run with it alone: composing them through one tee changes neither
-// report, and neither changes the simulation.
-func TestFarmObserversComposeObserveOnly(t *testing.T) {
-	cfg := Config{Duration: 2 * time.Second, Seed: 1, Shards: 2}
-	plain := RunShardScale(cfg)
-	cfg.Fleet = true
-	fleetOnly := RunShardScale(cfg)
-	cfg.Monitor = true
-	both := RunShardScale(cfg)
-	cfg.Fleet = false
-	monOnly := RunShardScale(cfg)
-	if len(both.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (shards 1, 2)", len(both.Rows))
+// TestGuestObserversObserveOnly attaches a fleet tenant and a monitor
+// tenant to one guest through ObserveGuest's tee, registers the monitor's
+// probes and drives the session at window grain, sealing as it goes — the
+// wiring every farm runs. The guest's result must equal a plain equal-seed
+// session's: neither observer nor the seal points perturb the simulation.
+func TestGuestObserversObserveOnly(t *testing.T) {
+	const dur = 2 * time.Second
+	cat := emulator.CatCamera
+	run := func(observe bool) (*workload.Result, *fleetobs.Fleet, *tsmon.Monitor) {
+		sess := workload.NewSession(emulator.VSoC(), HighEnd.New, 1)
+		defer sess.Close()
+		tenants := []fleetobs.TenantConfig{FarmTenant(0, cat)}
+		fl := fleetobs.New(fleetobs.Config{Tenants: tenants})
+		mon := tsmon.New(tsmon.Config{Tenants: tenants})
+		if observe {
+			MonitorProbes(mon.Tenant(0), sess)
+			ObserveGuest(sess, fl.Tenant(0), mon.Tenant(0))
+		}
+		pd, err := workload.StartEmerging(sess.Emulator, workload.DefaultSpec(cat, 0, dur))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observe {
+			sess.Env.RunUntilEvery(pd.Stop(), mon.WindowWidth(), mon.Seal)
+			fl.Finalize(pd.Stop())
+			mon.Finalize(pd.Stop())
+		} else {
+			sess.Env.RunUntil(pd.Stop())
+		}
+		r, err := pd.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, fl, mon
 	}
-	for i, row := range both.Rows {
-		if got, want := projectRow(row), projectRow(plain.Rows[i]); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: observers perturbed the simulation:\n on  %+v\n off %+v", row.Shards, got, want)
-		}
-		if got, want := mustJSON(t, row.Fleet), mustJSON(t, fleetOnly.Rows[i].Fleet); !bytes.Equal(got, want) {
-			t.Errorf("shards=%d: fleet report with the monitor attached differs from fleet-only", row.Shards)
-		}
-		if got, want := row.Mon.Digest, monOnly.Rows[i].Mon.Digest; got != want {
-			t.Errorf("shards=%d: monitor digest %s with the fleet attached, %s monitor-only", row.Shards, got, want)
-		}
+	plain, _, _ := run(false)
+	observed, fl, mon := run(true)
+	if !reflect.DeepEqual(observed, plain) {
+		t.Errorf("observers perturbed the simulation:\n on  %v\n off %v", observed, plain)
+	}
+	// Both observers must actually have been fed, or the check is vacuous.
+	rep := fl.Report(dur)
+	if rep.Tenants[0].Frames == 0 || rep.Fleet.FetchP99MS <= 0 {
+		t.Errorf("fleet tenant saw no frames or fetches: %+v", rep.Tenants[0])
+	}
+	var frames uint32
+	for _, w := range mon.Windows() {
+		frames += w.Tenants[0].Frames
+	}
+	if frames == 0 {
+		t.Errorf("monitor tenant saw no frames in %d window(s)", len(mon.Windows()))
 	}
 }
 
@@ -63,7 +89,7 @@ func TestFarmSameCategoryShardInvariant(t *testing.T) {
 	cats := []int{emulator.CatCamera, emulator.CatCamera, emulator.CatCamera}
 	run := func(shards int) ([]*workload.Result, []byte) {
 		f, err := NewFarm(FarmConfig{Preset: preset, Machine: HighEnd, Categories: cats,
-			Seed: 1, Duration: 2 * time.Second, Shards: shards, Fleet: true})
+			Seed: 1, Duration: 2 * time.Second, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +117,7 @@ func TestNewFarmStartErrorReleasesSessions(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cats := []int{emulator.CatUHDVideo, emulator.CatUHDVideo, emulator.CatCamera}
 	_, err := NewFarm(FarmConfig{Preset: emulator.Trinity(), Machine: HighEnd, Categories: cats,
-		Seed: 1, Duration: time.Second, Shards: 2, Fleet: true, Monitor: true})
+		Seed: 1, Duration: time.Second, Shards: 2})
 	if err == nil || !strings.Contains(err.Error(), "guest 2") || !strings.Contains(err.Error(), "camera") {
 		t.Fatalf("NewFarm error = %v, want guest 2 failing for lack of a camera", err)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -81,19 +80,16 @@ func TestPhasedLoadDeterministic(t *testing.T) {
 }
 
 // TestShardScaleMonitorDeterministicAcrossCounts pins the barrier-sealing
-// contract (EXPERIMENTS.md): with -mon the shardscale farm's monitor report
-// is byte-identical at shard counts 1, 2, 4, and 8, and attaching the
-// monitor does not perturb the simulation results.
+// contract (EXPERIMENTS.md): the shardscale farm's monitor report is
+// byte-identical at shard counts 1, 2 and 4. TestGuestObserversObserveOnly
+// checks that the monitor leaves the simulation untouched.
 func TestShardScaleMonitorDeterministicAcrossCounts(t *testing.T) {
-	cfg := Config{Duration: 2 * time.Second, Seed: 1, Monitor: true}
+	cfg := Config{Duration: 2 * time.Second, Seed: 1}
 	res := RunShardScale(cfg)
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
+	if len(res.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(res.Rows))
 	}
 	base := res.Rows[0].Mon
-	if base == nil {
-		t.Fatal("Monitor config did not produce a monitor report")
-	}
 	if base.Sealed == 0 || base.Digest == "" {
 		t.Fatalf("degenerate monitor report: sealed=%d digest=%q", base.Sealed, base.Digest)
 	}
@@ -120,15 +116,5 @@ func TestShardScaleMonitorDeterministicAcrossCounts(t *testing.T) {
 	}
 	if frames == 0 {
 		t.Fatal("monitor saw no frames — observer tee unwired")
-	}
-
-	// Observe-only: the farm's simulation results with the monitor attached
-	// match a monitor-off run exactly.
-	off := RunShardScale(Config{Duration: 2 * time.Second, Seed: 1})
-	for i := range res.Rows {
-		if got, want := projectRow(res.Rows[i]), projectRow(off.Rows[i]); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: monitor perturbed the simulation:\n got %+v\nwant %+v",
-				res.Rows[i].Shards, got, want)
-		}
 	}
 }

@@ -37,6 +37,12 @@ type Entry struct {
 	Run func(Config) (report string, bench []BenchMetric, err error)
 }
 
+// WritesMonitorReport reports whether the experiment runs the streaming
+// telemetry engine and so honors Config.MonPath.
+func (e Entry) WritesMonitorReport() bool {
+	return e.Name == "phasedload" || e.Name == "shardscale"
+}
+
 // formatted adapts a Run*/Format* pair, plus its bench projection when it
 // has one (nil otherwise), to Entry.Run.
 func formatted[R any](run func(Config) R, format func(R) string,
@@ -121,8 +127,8 @@ func Registry() []Entry {
 			Summary: "chunked demand-fetch sweep: access latency and sync-copy share across chunk sizes (DESIGN.md §11); excluded from -exp all",
 			Run:     formatted(RunFetchPipe, FormatFetchPipe, nil)},
 		{Name: "shardscale",
-			Summary: "multi-guest farm under the conservative parallel scheduler: determinism check and events/s scaling across shard counts (DESIGN.md §12); -fleet adds the QoS/SLO fleet report and barrier-stall attribution (§13); excluded from -exp all",
-			Trace:   "with -fleet, writes one fleet-counter trace per shard count next to the given path",
+			Summary: "multi-guest farm under the conservative parallel scheduler: determinism check and events/s scaling across shard counts (DESIGN.md §12), with the QoS/SLO fleet report and barrier-stall attribution (§13) and the monitor (§15); -monout writes one monitor report per shard count; excluded from -exp all",
+			Trace:   "writes one fleet-counter trace per shard count next to the given path",
 			Run:     formatted(RunShardScale, FormatShardScale, ShardScaleBenchMetrics)},
 		{Name: "phasedload",
 			Summary: "monitored phased-load scenario (steady/spike/fault/recovery) exercising the streaming telemetry engine's windowed rollups, online detectors, and incident flight recorder (DESIGN.md §15); -monout writes the monitor report for cmd/vsocmon; excluded from -exp all",

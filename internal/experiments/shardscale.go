@@ -37,8 +37,7 @@ var shardFarmCategories = [shardFarmGuests]int{
 
 // ShardScaleRow is one shard-count setting of the sweep.
 type ShardScaleRow struct {
-	// Shards is the requested shard count (clamped to the guest count by
-	// the group).
+	// Shards is the shard count the farm ran on (Group.Shards()).
 	Shards int
 
 	// Deterministic simulation results: identical at every shard count.
@@ -54,21 +53,21 @@ type ShardScaleRow struct {
 	EventsPerSec float64
 	SpeedupX     float64
 
-	// Fleet telemetry, populated when Config.Fleet is set (DESIGN.md §13).
-	// Fleet is the deterministic fleet report — byte-identical at every
-	// shard count; Stall is the wall-clock barrier-stall attribution,
-	// excluded from the determinism contract like the wall columns.
+	// Fleet telemetry (DESIGN.md §13). Fleet is the deterministic fleet
+	// report — byte-identical at every shard count; Stall is the
+	// wall-clock barrier-stall attribution, excluded from the determinism
+	// contract like the wall columns.
 	Fleet *fleetobs.Report
 	Stall *fleetobs.StallReport
-	// FleetTrace is the Perfetto trace file written for this row, when
-	// Config.Fleet and Config.TracePath are both set.
+	// FleetTrace is the Perfetto trace file written for this row when
+	// Config.TracePath is set.
 	FleetTrace string
 
-	// Mon is the streaming-telemetry report, populated when Config.Monitor
-	// is set (DESIGN.md §15). Windows seal at the group's barriers, whose
-	// sequence depends only on the event stream, so the report — digest
-	// included — is byte-identical at every shard count. MonFile is the
-	// report file written for this row when Config.MonPath is also set.
+	// Mon is the streaming-telemetry report (DESIGN.md §15). Windows seal
+	// at the group's barriers, whose sequence depends only on the event
+	// stream, so the report — digest included — is byte-identical at every
+	// shard count. MonFile is the report file written for this row when
+	// Config.MonPath is set.
 	Mon     *tsmon.MonReport
 	MonFile string
 }
@@ -81,16 +80,22 @@ type ShardScaleResult struct {
 }
 
 // shardScaleCounts returns the shard counts the sweep runs: the {1,2,4,8}
-// ladder by default, or {1, cfg.Shards} when a specific count was requested.
+// ladder by default, or {1, cfg.Shards} when a specific count was
+// requested. Counts are clamped to the guest count, as sim.NewShardGroup
+// clamps them, and duplicates dropped, so no row repeats another.
 func shardScaleCounts(cfg Config) []int {
-	switch {
-	case cfg.Shards > 1:
-		return []int{1, cfg.Shards}
-	case cfg.Shards == 1:
-		return []int{1}
-	default:
-		return []int{1, 2, 4, 8}
+	ladder := []int{1, 2, 4, 8}
+	if cfg.Shards > 0 {
+		ladder = []int{1, cfg.Shards}
 	}
+	var counts []int
+	for _, n := range ladder {
+		n = min(n, shardFarmGuests)
+		if len(counts) == 0 || counts[len(counts)-1] != n {
+			counts = append(counts, n)
+		}
+	}
+	return counts
 }
 
 // RunShardScale sweeps the four-guest farm across shard counts.
@@ -111,7 +116,6 @@ func RunShardScale(cfg Config) *ShardScaleResult {
 // runShardFarm builds the farm fresh, runs it to the last guest's stop
 // time, and folds the results into one row.
 func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRow {
-	row := ShardScaleRow{Shards: shards}
 	f, err := NewFarm(FarmConfig{
 		Preset:     emulator.VSoC(),
 		Machine:    HighEnd,
@@ -119,9 +123,7 @@ func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRo
 		Seed:       cfg.Seed,
 		Duration:   cfg.Duration,
 		Shards:     shards,
-		Fleet:      cfg.Fleet,
 		Trace:      cfg.TracePath != "",
-		Monitor:    cfg.Monitor,
 	})
 	if err != nil {
 		// vSoC runs every category; a failure here is a programming
@@ -135,23 +137,21 @@ func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRo
 		panic(fmt.Sprintf("shardscale: %v", err))
 	}
 
-	if fl := f.Fleet; fl != nil {
-		row.Fleet = fl.Report(f.Stop)
-		row.Stall = fl.StallReport()
-		if cfg.TracePath != "" {
-			path := fmt.Sprintf("%s-fleet-shards%d.json",
-				strings.TrimSuffix(cfg.TracePath, ".json"), shards)
-			row.FleetTrace = writeTrace(path, fl.Tracer())
-		}
+	row := ShardScaleRow{
+		Shards: f.Group.Shards(),
+		Fleet:  f.Fleet.Report(f.Stop),
+		Stall:  f.Fleet.StallReport(),
+		Mon:    f.Monitor.Report(),
 	}
-
-	if f.Monitor != nil {
-		row.Mon = f.Monitor.Report()
-		if cfg.MonPath != "" {
-			path := fmt.Sprintf("%s-shards%d.json",
-				strings.TrimSuffix(cfg.MonPath, ".json"), shards)
-			row.MonFile = writeReport(path, row.Mon.WriteJSON)
-		}
+	if cfg.TracePath != "" {
+		path := fmt.Sprintf("%s-fleet-shards%d.json",
+			strings.TrimSuffix(cfg.TracePath, ".json"), row.Shards)
+		row.FleetTrace = writeTrace(path, f.Fleet.Tracer())
+	}
+	if cfg.MonPath != "" {
+		path := fmt.Sprintf("%s-shards%d.json",
+			strings.TrimSuffix(cfg.MonPath, ".json"), row.Shards)
+		row.MonFile = writeReport(path, row.Mon.WriteJSON)
 	}
 
 	for _, r := range results {
@@ -173,59 +173,41 @@ func runShardFarm(cfg Config, shards int, lookahead *time.Duration) ShardScaleRo
 // host-dependent throughput measurement.
 func FormatShardScale(r *ShardScaleResult) string {
 	var b strings.Builder
-	fleetOn := len(r.Rows) > 0 && r.Rows[0].Fleet != nil
 	fmt.Fprintf(&b, "Shard-scaling sweep (%d-guest farm, lookahead %v, DESIGN.md §12):\n",
 		r.Guests, r.Lookahead)
-	b.WriteString("  shards   mean FPS   per-guest FPS            frames    events     windows   wall ms    events/s   speedup")
-	if fleetOn {
-		b.WriteString("   floor%    slo%   m2p_p99   fetch_p99   strag")
-	}
-	b.WriteString("\n")
+	b.WriteString("  shards   mean FPS   per-guest FPS            frames    events     windows   wall ms    events/s   speedup   floor%    slo%   m2p_p99   fetch_p99   strag\n")
 	for _, row := range r.Rows {
 		guests := make([]string, len(row.GuestFPS))
 		for i, f := range row.GuestFPS {
 			guests[i] = fmt.Sprintf("%.1f", f)
 		}
-		fmt.Fprintf(&b, "  %6d   %8.2f   %-22s   %6d   %8d   %7d   %7.1f   %9.0f   %6.2fx",
+		f := row.Fleet.Fleet
+		fmt.Fprintf(&b, "  %6d   %8.2f   %-22s   %6d   %8d   %7d   %7.1f   %9.0f   %6.2fx   %6.1f   %5.1f   %5.2fms   %7.2fms   %5d\n",
 			row.Shards, row.MeanFPS, strings.Join(guests, " "),
 			row.Frames, row.Events, row.Windows, row.WallMS,
-			row.EventsPerSec, row.SpeedupX)
-		if f := row.Fleet; f != nil {
-			fmt.Fprintf(&b, "   %6.1f   %5.1f   %5.2fms   %7.2fms   %5d",
-				f.Fleet.FloorAttainment*100, f.Fleet.SLOAttainment*100,
-				f.Fleet.M2PP99MS, f.Fleet.FetchP99MS, len(f.Fleet.Stragglers))
-		}
-		b.WriteString("\n")
+			row.EventsPerSec, row.SpeedupX,
+			f.FloorAttainment*100, f.SLOAttainment*100,
+			f.M2PP99MS, f.FetchP99MS, len(f.Stragglers))
 	}
-	b.WriteString("  (simulation columns are byte-identical across shard counts; wall columns are host-dependent)\n")
-	if fleetOn {
-		b.WriteString("\n")
-		b.WriteString(r.Rows[0].Fleet.FormatText())
-		for _, row := range r.Rows {
-			if row.Stall != nil {
-				fmt.Fprintf(&b, "\n[shards=%d] %s", row.Shards, row.Stall.FormatText())
-			}
-		}
-		for _, row := range r.Rows {
-			if row.FleetTrace != "" {
-				fmt.Fprintf(&b, "trace shards=%d %s\n", row.Shards, row.FleetTrace)
-			}
+	b.WriteString("  (simulation columns are byte-identical across shard counts; wall columns are host-dependent)\n\n")
+	b.WriteString(r.Rows[0].Fleet.FormatText())
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "\n[shards=%d] %s", row.Shards, row.Stall.FormatText())
+	}
+	for _, row := range r.Rows {
+		if row.FleetTrace != "" {
+			fmt.Fprintf(&b, "trace shards=%d %s\n", row.Shards, row.FleetTrace)
 		}
 	}
-	if len(r.Rows) > 0 && r.Rows[0].Mon != nil {
-		b.WriteString("\n")
-		for _, row := range r.Rows {
-			if row.Mon == nil {
-				continue
-			}
-			fmt.Fprintf(&b, "[shards=%d] monitor: %d window(s) sealed, %d incident(s), digest %s\n",
-				row.Shards, row.Mon.Sealed, len(row.Mon.Incidents), row.Mon.Digest)
-			if row.MonFile != "" {
-				fmt.Fprintf(&b, "  monitor report %s\n", row.MonFile)
-			}
+	b.WriteString("\n")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "[shards=%d] monitor: %d window(s) sealed, %d incident(s), digest %s\n",
+			row.Shards, row.Mon.Sealed, len(row.Mon.Incidents), row.Mon.Digest)
+		if row.MonFile != "" {
+			fmt.Fprintf(&b, "  monitor report %s\n", row.MonFile)
 		}
-		b.WriteString("  (monitor reports are byte-identical across shard counts — equal digests are the §15 determinism contract)\n")
 	}
+	b.WriteString("  (monitor reports are byte-identical across shard counts — equal digests are the §15 determinism contract)\n")
 	return b.String()
 }
 
@@ -254,17 +236,16 @@ func ShardScaleBenchMetrics(r *ShardScaleResult) []BenchMetric {
 	// Fleet metrics (DESIGN.md §13): the QoS/tail aggregate is
 	// deterministic; barrier_stall_frac measures the build host's wall
 	// clock like events/s and needs the same wide gate threshold.
-	if f := serial.Fleet; f != nil {
-		ms = append(ms,
-			BenchMetric{Name: "fleet.floor_attainment", Value: f.Fleet.FloorAttainment, Unit: "frac", Better: "higher"},
-			BenchMetric{Name: "fleet.slo_attainment", Value: f.Fleet.SLOAttainment, Unit: "frac", Better: "higher"},
-			BenchMetric{Name: "fleet.m2p_p99_ms", Value: f.Fleet.M2PP99MS, Unit: "ms", Better: "lower"},
-			BenchMetric{Name: "fleet.fetch_p99_ms", Value: f.Fleet.FetchP99MS, Unit: "ms", Better: "lower"},
-			BenchMetric{Name: "fleet.lookahead_util", Value: f.Sched.LookaheadUtil, Unit: "frac", Better: "higher"},
-			BenchMetric{Name: "fleet.stragglers", Value: float64(len(f.Fleet.Stragglers)), Unit: "tenants", Better: "lower"},
-		)
-	}
-	if widest.Shards > 1 && widest.Stall != nil {
+	f := serial.Fleet
+	ms = append(ms,
+		BenchMetric{Name: "fleet.floor_attainment", Value: f.Fleet.FloorAttainment, Unit: "frac", Better: "higher"},
+		BenchMetric{Name: "fleet.slo_attainment", Value: f.Fleet.SLOAttainment, Unit: "frac", Better: "higher"},
+		BenchMetric{Name: "fleet.m2p_p99_ms", Value: f.Fleet.M2PP99MS, Unit: "ms", Better: "lower"},
+		BenchMetric{Name: "fleet.fetch_p99_ms", Value: f.Fleet.FetchP99MS, Unit: "ms", Better: "lower"},
+		BenchMetric{Name: "fleet.lookahead_util", Value: f.Sched.LookaheadUtil, Unit: "frac", Better: "higher"},
+		BenchMetric{Name: "fleet.stragglers", Value: float64(len(f.Fleet.Stragglers)), Unit: "tenants", Better: "lower"},
+	)
+	if widest.Shards > 1 {
 		if frac := barrierStallFrac(widest.Stall); frac >= 0 {
 			ms = append(ms, BenchMetric{Name: "fleet.barrier_stall_frac", Value: frac, Unit: "frac", Better: "lower"})
 		}

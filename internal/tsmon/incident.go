@@ -69,7 +69,7 @@ func (m *Monitor) record(s *Spec, ti int, w *Window, value, bound float64) {
 		Value:    round6(value),
 		Bound:    round6(bound),
 	}
-	for idx := w.Index - m.context + 1; idx <= w.Index; idx++ {
+	for idx := w.Index - incidentContext + 1; idx <= w.Index; idx++ {
 		cw := m.windowAt(idx)
 		if cw == nil {
 			continue

@@ -35,16 +35,18 @@ import (
 // the burn-rate detector.
 type TenantConfig = fleetobs.TenantConfig
 
+// ringCap bounds how many sealed windows a monitor retains: older windows
+// are evicted, totals keep counting.
+const ringCap = 256
+
+// incidentContext is how many trailing windows of the triggering signal an
+// incident snapshots.
+const incidentContext = 16
+
 // Config sizes the monitor.
 type Config struct {
 	// Window is the virtual-time rollup window width. Default 200 ms.
 	Window time.Duration
-	// Ring bounds how many sealed windows are retained (older windows are
-	// evicted; totals keep counting). Default 256.
-	Ring int
-	// Context is how many trailing windows of the triggering signal an
-	// incident snapshots. Default 16 (clamped to Ring).
-	Context int
 	// Tenants declares the monitored guests, in index order.
 	Tenants []TenantConfig
 	// Detectors declares the online detectors; nil means DefaultSpecs().
@@ -211,9 +213,7 @@ type Window struct {
 // accumulation, a bounded ring of sealed windows, the detector registry's
 // instantiated state machines, and the incident flight recorder.
 type Monitor struct {
-	window  time.Duration
-	ringCap int
-	context int
+	window time.Duration
 
 	tenants []*Tenant
 
@@ -255,23 +255,12 @@ func New(cfg Config) *Monitor {
 	if cfg.Window <= 0 {
 		cfg.Window = 200 * time.Millisecond
 	}
-	if cfg.Ring <= 0 {
-		cfg.Ring = 256
-	}
-	if cfg.Context <= 0 {
-		cfg.Context = 16
-	}
-	if cfg.Context > cfg.Ring {
-		cfg.Context = cfg.Ring
-	}
 	if cfg.Detectors == nil {
 		cfg.Detectors = DefaultSpecs()
 	}
 	m := &Monitor{
 		window:   cfg.Window,
-		ringCap:  cfg.Ring,
-		context:  cfg.Context,
-		ring:     make([]Window, cfg.Ring),
+		ring:     make([]Window, ringCap),
 		specs:    cfg.Detectors,
 		tracer:   cfg.Tracer,
 		profiler: cfg.Profiler,
@@ -389,18 +378,18 @@ func (m *Monitor) sealOne(end time.Duration, partial bool) {
 // push appends a sealed window to the ring, evicting the oldest at
 // capacity.
 func (m *Monitor) push(w Window) {
-	if m.ringLen < m.ringCap {
-		m.ring[(m.ringStart+m.ringLen)%m.ringCap] = w
+	if m.ringLen < ringCap {
+		m.ring[(m.ringStart+m.ringLen)%ringCap] = w
 		m.ringLen++
 		return
 	}
 	m.ring[m.ringStart] = w
-	m.ringStart = (m.ringStart + 1) % m.ringCap
+	m.ringStart = (m.ringStart + 1) % ringCap
 }
 
 // latest returns the most recently sealed window.
 func (m *Monitor) latest() *Window {
-	return &m.ring[(m.ringStart+m.ringLen-1)%m.ringCap]
+	return &m.ring[(m.ringStart+m.ringLen-1)%ringCap]
 }
 
 // windowAt returns the retained window with the given index, nil if
@@ -410,7 +399,7 @@ func (m *Monitor) windowAt(index int) *Window {
 	// back from the newest (ringLen is small and this runs only while
 	// assembling incidents).
 	for i := m.ringLen - 1; i >= 0; i-- {
-		w := &m.ring[(m.ringStart+i)%m.ringCap]
+		w := &m.ring[(m.ringStart+i)%ringCap]
 		if w.Index == index {
 			return w
 		}
@@ -425,7 +414,7 @@ func (m *Monitor) windowAt(index int) *Window {
 func (m *Monitor) Windows() []Window {
 	out := make([]Window, 0, m.ringLen)
 	for i := 0; i < m.ringLen; i++ {
-		out = append(out, m.ring[(m.ringStart+i)%m.ringCap])
+		out = append(out, m.ring[(m.ringStart+i)%ringCap])
 	}
 	return out
 }

@@ -80,16 +80,18 @@ func TestFinalizeSealsTrailingPartial(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	m := New(Config{Window: time.Second, Ring: 4, Tenants: []TenantConfig{{Name: "g"}}})
-	m.Seal(10 * time.Second)
-	if m.sealed != 10 {
-		t.Fatalf("sealed %d, want 10", m.sealed)
+	const n = ringCap + 10
+	m := New(Config{Window: time.Second, Tenants: []TenantConfig{{Name: "g"}}})
+	m.Seal(n * time.Second)
+	if m.sealed != n {
+		t.Fatalf("sealed %d, want %d", m.sealed, n)
 	}
 	ws := m.Windows()
-	if len(ws) != 4 || ws[0].Index != 6 || ws[3].Index != 9 {
-		t.Fatalf("ring retained wrong windows: %+v", ws)
+	if len(ws) != ringCap || ws[0].Index != 10 || ws[ringCap-1].Index != n-1 {
+		t.Fatalf("ring retained %d windows [%d..%d], want %d [10..%d]",
+			len(ws), ws[0].Index, ws[len(ws)-1].Index, ringCap, n-1)
 	}
-	if m.windowAt(5) != nil || m.windowAt(7) == nil {
+	if m.windowAt(9) != nil || m.windowAt(11) == nil {
 		t.Fatal("windowAt disagrees with the ring contents")
 	}
 }
@@ -222,22 +224,25 @@ func TestMissingSignalWindowsAreSkipped(t *testing.T) {
 func TestIncidentContextAndFaultWindows(t *testing.T) {
 	m := New(Config{
 		Window:    time.Second,
-		Context:   4,
 		Tenants:   []TenantConfig{{Name: "g", FPSFloor: 30}},
 		Detectors: []Spec{{Name: "floor", Class: ClassThreshold, Signal: "fps", TenantLimit: true, Below: true, Consec: 1}},
 	})
 	tn := m.Tenant(0)
-	m.AddFaultWindow(0, "link-collapse", 2*time.Second, 3*time.Second)
-	m.AddFaultWindow(1, "other-tenant", 0, 10*time.Second) // must not apply
-	sealWindows(m, 0, 2, func(s int) { feed(tn, s, 60, 0, 0) })
-	sealWindows(m, 2, 1, func(s int) { feed(tn, s, 5, 0, 0) })
+	// More healthy windows than the context holds, then one breach.
+	const healthy = incidentContext + 4
+	m.AddFaultWindow(0, "link-collapse", healthy*time.Second, 3*time.Second)
+	m.AddFaultWindow(1, "other-tenant", 0, 2*healthy*time.Second) // must not apply
+	sealWindows(m, 0, healthy, func(s int) { feed(tn, s, 60, 0, 0) })
+	sealWindows(m, healthy, 1, func(s int) { feed(tn, s, 5, 0, 0) })
 	incs := m.Incidents()
 	if len(incs) != 1 {
 		t.Fatalf("%d incidents, want 1", len(incs))
 	}
 	inc := incs[0]
-	if len(inc.Series) != 3 || inc.Series[2].Value != 5 || inc.Series[0].Value != 60 {
-		t.Fatalf("context series %+v, want the 3 sealed windows trigger-last", inc.Series)
+	last := incidentContext - 1
+	if len(inc.Series) != incidentContext || inc.Series[last].Value != 5 || inc.Series[last].Window != healthy ||
+		inc.Series[0].Value != 60 || inc.Series[0].Window != healthy-last {
+		t.Fatalf("context series %+v, want the last %d sealed windows trigger-last", inc.Series, incidentContext)
 	}
 	if len(inc.ActiveFaults) != 1 || !strings.Contains(inc.ActiveFaults[0], "link-collapse") {
 		t.Fatalf("active faults %v, want the overlapping link-collapse only", inc.ActiveFaults)

@@ -39,7 +39,7 @@ type bound struct {
 	min, max float64 // absolute bounds; NaN = unbounded
 }
 
-// Options parameterizes a search; zero fields take the defaults below.
+// Options parameterizes a search; a zero Budget takes the default.
 type Options struct {
 	// Seed drives the random phases (random seeding, restarts). Equal
 	// seeds over equal (space, evaluator) reproduce the identical search
@@ -48,26 +48,20 @@ type Options struct {
 	// Budget caps evaluator calls (cache hits are free). Includes the
 	// baseline evaluation. Default 40.
 	Budget int
-	// RandomSeeds is how many random vectors join the seeding phase after
-	// the axis grid. Default 6.
-	RandomSeeds int
-	// Patience is how many consecutive random restarts may fail to improve
-	// the global best before the search stops. Default 2.
-	Patience int
-	// Cache, when non-nil, is consulted and filled instead of a private
-	// one — sharing it across searches deduplicates overlapping cells.
-	Cache *Cache
 }
+
+const (
+	// randomSeeds is how many random vectors join the seeding phase after
+	// the axis grid.
+	randomSeeds = 6
+	// patience is how many consecutive random restarts may fail to improve
+	// the global best before the search stops.
+	patience = 2
+)
 
 func (o Options) resolved() Options {
 	if o.Budget <= 0 {
 		o.Budget = 40
-	}
-	if o.RandomSeeds <= 0 {
-		o.RandomSeeds = 6
-	}
-	if o.Patience <= 0 {
-		o.Patience = 2
 	}
 	return o
 }
@@ -115,8 +109,11 @@ type searcher struct {
 	obj    Objective
 	bounds []bound
 	dir    float64 // +1 minimize, -1 maximize
-	cache  *Cache
-	rng    *rand.Rand
+	// cache holds every evaluation by vector key, so revisited cells —
+	// hill-climb re-entering a neighborhood — replay their metrics without
+	// re-running the simulation.
+	cache map[string]Metrics
+	rng   *rand.Rand
 
 	res *Result
 }
@@ -128,17 +125,13 @@ func Search(preset string, space Space, ev Evaluator, obj Objective, opts Option
 	opts = opts.resolved()
 	s := &searcher{
 		space: space, ev: ev, opts: opts, obj: obj,
-		cache: opts.Cache,
+		cache: map[string]Metrics{},
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		res: &Result{
 			Preset: preset, Space: space, Objective: obj, Options: opts,
 			BestScore: math.Inf(1),
 		},
 	}
-	if s.cache == nil {
-		s.cache = &Cache{}
-	}
-
 	// Baseline: the shipped default vector anchors the relative
 	// constraints and is the first candidate. It is feasible by
 	// construction (every relative bound scales its own value).
@@ -164,23 +157,23 @@ func Search(preset string, space Space, ev Evaluator, obj Objective, opts Option
 	}
 
 	// Random seeding: uniform vectors from the seeded rng.
-	for i := 0; i < opts.RandomSeeds && !s.exhausted(); i++ {
+	for i := 0; i < randomSeeds && !s.exhausted(); i++ {
 		s.consider("random", s.randomVec())
 	}
 
 	// Hill-climb with patience: from the best-known vector, move to the
 	// best strictly-improving neighbor until a local optimum, then restart
-	// from a random vector; stop after Patience consecutive restarts that
+	// from a random vector; stop after patience consecutive restarts that
 	// never improved the global best.
 	cur := s.res.BestVec.clone()
-	restartsLeft := opts.Patience
+	restartsLeft := patience
 	for !s.exhausted() {
 		prevBest := s.res.BestScore
 		next, ok := s.climbStep(cur)
 		if ok {
 			cur = next
 			if s.res.BestScore < prevBest {
-				restartsLeft = opts.Patience
+				restartsLeft = patience
 			}
 			continue
 		}
@@ -190,7 +183,7 @@ func Search(preset string, space Space, ev Evaluator, obj Objective, opts Option
 		restartsLeft--
 		cur = s.randomVec()
 		if s.consider("restart", cur) {
-			restartsLeft = opts.Patience
+			restartsLeft = patience
 		}
 	}
 	return s.res
@@ -199,9 +192,8 @@ func Search(preset string, space Space, ev Evaluator, obj Objective, opts Option
 // exhausted reports whether the evaluation budget is spent.
 func (s *searcher) exhausted() bool { return s.res.Evals >= s.opts.Budget }
 
-// randomVec draws a uniform vector from the seeded rng. Cache state never
-// influences rng consumption, so trajectories replay identically however
-// warm the cache starts.
+// randomVec draws a uniform vector from the seeded rng. Cache hits never
+// change rng consumption, so the trajectory depends on the seed alone.
 func (s *searcher) randomVec() Vector {
 	v := make(Vector, len(s.space.Knobs))
 	for i, k := range s.space.Knobs {
@@ -215,7 +207,7 @@ func (s *searcher) randomVec() Vector {
 // and the budget is spent.
 func (s *searcher) evalOne(v Vector) (m Metrics, cached, ok bool) {
 	key := s.space.Key(v)
-	if m, hit := s.cache.Get(key); hit {
+	if m, hit := s.cache[key]; hit {
 		s.res.CacheHits++
 		return m, true, true
 	}
@@ -223,7 +215,7 @@ func (s *searcher) evalOne(v Vector) (m Metrics, cached, ok bool) {
 		return nil, false, false
 	}
 	m = s.ev.Evaluate(v)
-	s.cache.Put(key, m)
+	s.cache[key] = m
 	s.res.Evals++
 	return m, false, true
 }
@@ -313,7 +305,7 @@ func (s *searcher) consider(phase string, v Vector) bool {
 // offers one, so the worker pool overlaps their simulations.
 func (s *searcher) climbStep(cur Vector) (Vector, bool) {
 	curScore := math.Inf(1)
-	if m, ok := s.cache.Get(s.space.Key(cur)); ok {
+	if m, ok := s.cache[s.space.Key(cur)]; ok {
 		if sc, _, feasible, _ := s.judge(m); feasible {
 			curScore = sc
 		}
@@ -340,7 +332,7 @@ func (s *searcher) climbStep(cur Vector) (Vector, bool) {
 		if charged[key] {
 			// Batch-evaluated just above: budget already charged, and the
 			// step is a real evaluation, not a cache replay.
-			m, _ = s.cache.Get(key)
+			m = s.cache[key]
 			cached, ok = false, true
 			delete(charged, key)
 		} else {
@@ -367,7 +359,7 @@ func (s *searcher) prefill(vs []Vector) map[string]bool {
 	}
 	var misses []Vector
 	for _, v := range vs {
-		if _, hit := s.cache.Get(s.space.Key(v)); hit {
+		if _, hit := s.cache[s.space.Key(v)]; hit {
 			continue
 		}
 		if s.res.Evals+len(misses) >= s.opts.Budget {
@@ -381,7 +373,7 @@ func (s *searcher) prefill(vs []Vector) map[string]bool {
 	charged := map[string]bool{}
 	for i, m := range be.EvaluateBatch(misses) {
 		key := s.space.Key(misses[i])
-		s.cache.Put(key, m)
+		s.cache[key] = m
 		s.res.Evals++
 		charged[key] = true
 	}

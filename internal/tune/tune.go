@@ -162,29 +162,3 @@ type Evaluator interface {
 type BatchEvaluator interface {
 	EvaluateBatch(vs []Vector) []Metrics
 }
-
-// Cache stores evaluation results by vector key, so revisited cells —
-// hill-climb re-entering a neighborhood, a resumed or overlapping search —
-// replay their metrics without re-running the simulation. The zero value
-// is ready to use; sharing one cache across searches over the same
-// (space, evaluator) pair is how overlap is deduplicated.
-type Cache struct {
-	m map[string]Metrics
-}
-
-// Get returns the cached metrics for key, if present.
-func (c *Cache) Get(key string) (Metrics, bool) {
-	m, ok := c.m[key]
-	return m, ok
-}
-
-// Put stores metrics under key.
-func (c *Cache) Put(key string, m Metrics) {
-	if c.m == nil {
-		c.m = map[string]Metrics{}
-	}
-	c.m[key] = m
-}
-
-// Len returns how many distinct vectors the cache holds.
-func (c *Cache) Len() int { return len(c.m) }
