@@ -8,10 +8,10 @@ GOFMT ?= gofmt
 # BENCH is the bench trajectory file this tree writes (BENCH.json +
 # BENCH.folded); BENCH_BASE is the committed trajectory perf-gate diffs it
 # against. Bump both here, nowhere else.
-BENCH ?= BENCH_PR18
-BENCH_BASE ?= BENCH_PR17
+BENCH ?= BENCH_PR19
+BENCH_BASE ?= BENCH_PR18
 
-.PHONY: check build vet fmt-check test docs-check hostbench-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
+.PHONY: check build vet fmt-check test docs-check hostbench-check race bench-smoke fuzz-smoke chaos-smoke trace-smoke tune-smoke mon-smoke bench perf-smoke perf-gate verify
 
 check: fmt-check vet build test docs-check
 
@@ -53,10 +53,20 @@ race:
 # regressions (and any return of per-event or per-switch allocation)
 # without the noise sensitivity of a full benchmark run. The second line
 # covers the process-coroutine switch and a queue handoff between two
-# processes.
+# processes; the third prints the allocations of one SVM write->read cycle
+# under each coherence protocol.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|ZeroDelay' -benchtime=10000x -benchmem ./internal/sim/bench
 	$(GO) test -run=NONE -bench='BenchmarkProcessSwitch|BenchmarkQueueHandoff' -benchtime=10000x -benchmem ./internal/sim
+	$(GO) test -run=NONE -bench='BenchmarkPipelineCycle' -benchtime=2000x -benchmem ./internal/svm
+
+# A few seconds of each fuzz target against its reference model: Queue
+# against a plain-slice FIFO, and hyperedge canonicalization and keys
+# against a map-and-fmt reference. The committed seed corpora under
+# testdata/fuzz also run in every plain go test.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzQueue$$' -fuzztime=5s ./internal/sim
+	$(GO) test -run=NONE -fuzz='^FuzzEdgeCanon$$' -fuzztime=5s ./internal/hypergraph
 
 # Fault-injection gate: the faults package under the race detector, plus one
 # short seeded robustness sweep so the degradation/recovery story stays
@@ -132,4 +142,4 @@ perf-smoke: bench
 perf-gate: bench
 	$(GO) run ./cmd/vsocperf $(PERF_NOISY) $(BENCH_BASE).json $(BENCH).json
 
-verify: check hostbench-check race bench-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate
+verify: check hostbench-check race bench-smoke fuzz-smoke chaos-smoke trace-smoke tune-smoke mon-smoke perf-smoke perf-gate

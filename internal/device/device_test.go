@@ -45,9 +45,14 @@ func newRigSeeded(t *testing.T, mode OrderingMode, seed int64) *rig {
 
 func newRigCfg(t *testing.T, cfg Config, seed int64) *rig {
 	t.Helper()
+	return newRigSVM(t, cfg, svm.DefaultConfig(), seed)
+}
+
+func newRigSVM(t *testing.T, cfg Config, svmCfg svm.Config, seed int64) *rig {
+	t.Helper()
 	env := sim.NewEnv(seed)
 	mach := hostsim.HighEndDesktop(env)
-	mgr := svm.NewManager(env, mach, svm.DefaultConfig())
+	mgr := svm.NewManager(env, mach, svmCfg)
 	mgr.RegisterVirtualDevice(vCodec, "vcodec")
 	mgr.RegisterVirtualDevice(vGPU, "vgpu")
 	mgr.RegisterPhysicalDevice(pCodecHW, "codec-hw", mach.DRAM)
@@ -480,5 +485,42 @@ func TestOpOnAlreadyFreedRegionIsDropped(t *testing.T) {
 	}
 	if st.Executed != 1 {
 		t.Fatalf("Executed = %d, want 1", st.Executed)
+	}
+}
+
+// TestOpRoundTripAllocs pins the per-op allocations of a steady-state
+// fence-mode write→read pair under write-invalidate coherence: each Submit
+// allocates its op record (ticket, host payload and ring command with its
+// Done event, co-allocated) and its signal fence (with the fence's event
+// embedded), and the SVM accesses and the demand fetch allocate nothing —
+// so four for the pair.
+func TestOpRoundTripAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	svmCfg := svm.DefaultConfig()
+	svmCfg.Kind = svm.KindWriteInvalidate
+	rg := newRigSVM(t, cfg, svmCfg, 3)
+	r, _ := rg.mgr.Alloc(4 * hostsim.MiB)
+	gate := sim.NewQueue[int](rg.env, 0)
+	rg.env.Spawn("driver", func(p *sim.Proc) {
+		for {
+			gate.Get(p)
+			w := rg.codec.Submit(p, Op{Kind: OpWrite, Region: r.ID, Exec: ms})
+			rd := rg.gpu.Submit(p, Op{Kind: OpRead, Region: r.ID, Exec: ms, After: w})
+			rd.Fence.Wait(p)
+		}
+	})
+	cycle := func() {
+		gate.TryPut(0)
+		rg.env.Run()
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	executed := rg.gpu.Stats().Executed
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs > 4 {
+		t.Fatalf("%.1f allocs per write→read op pair, want <= 4", allocs)
+	}
+	if got := rg.gpu.Stats().Executed - executed; got != 1001 {
+		t.Fatalf("%d reads executed in the measured cycles, want 1001", got)
 	}
 }

@@ -47,7 +47,7 @@ type Fence struct {
 	table *Table
 	idx   int
 	state fenceState
-	ev    *sim.Event
+	ev    sim.Event
 	prov  *prof.Node
 }
 
@@ -108,7 +108,11 @@ func (f *Fence) WaitTimeout(p *sim.Proc, d sim.Time) bool {
 type Table struct {
 	env   *sim.Env
 	slots []*Fence // current occupant per slot; nil when unused
-	free  []int
+	// free[freeHead:] is the FIFO of unused slot indices. Alloc pops by
+	// the head index; pushFree slides the live entries back to the front
+	// only when appending would grow the slice.
+	free     []int
+	freeHead int
 
 	// stats
 	allocs   int
@@ -129,9 +133,9 @@ func NewTable(env *sim.Env) *Table {
 	if !page.Reserve(n * slotBytes) {
 		panic("fence: slot layout exceeds page")
 	}
-	t := &Table{env: env, slots: make([]*Fence, n)}
+	t := &Table{env: env, slots: make([]*Fence, n), free: make([]int, 0, n)}
 	for i := range t.slots {
-		t.free = append(t.free, i)
+		t.pushFree(i)
 	}
 	if t.tr = env.Tracer(); t.tr != nil {
 		t.tk = t.tr.Track("fences")
@@ -159,7 +163,7 @@ func (t *Table) drain() {
 	for i, f := range t.slots {
 		if f != nil {
 			t.slots[i] = nil
-			t.free = append(t.free, i)
+			t.pushFree(i)
 		}
 	}
 }
@@ -168,7 +172,32 @@ func (t *Table) drain() {
 func (t *Table) Capacity() int { return len(t.slots) }
 
 // InUse returns occupied slots (active or signaled-but-unrecycled).
-func (t *Table) InUse() int { return len(t.slots) - len(t.free) }
+func (t *Table) InUse() int { return len(t.slots) - t.numFree() }
+
+func (t *Table) numFree() int { return len(t.free) - t.freeHead }
+
+// pushFree appends slot i to the free FIFO.
+func (t *Table) pushFree(i int) {
+	if t.freeHead > 0 && len(t.free) == cap(t.free) {
+		n := copy(t.free, t.free[t.freeHead:])
+		t.free = t.free[:n]
+		t.freeHead = 0
+	}
+	t.free = append(t.free, i)
+}
+
+// popFree removes and returns the oldest free slot; the FIFO must be
+// non-empty. Slot indices reach traces, so the order is part of the
+// determinism contract.
+func (t *Table) popFree() int {
+	i := t.free[t.freeHead]
+	t.freeHead++
+	if t.freeHead == len(t.free) {
+		t.free = t.free[:0]
+		t.freeHead = 0
+	}
+	return i
+}
 
 // Allocs returns the number of fences handed out.
 func (t *Table) Allocs() int { return t.allocs }
@@ -186,14 +215,14 @@ const lowWater = 16
 // maybeRecycle reclaims signaled slots when the unused supply is low, or
 // unconditionally when force is set.
 func (t *Table) maybeRecycle(force bool) {
-	if !force && len(t.free) >= lowWater {
+	if !force && t.numFree() >= lowWater {
 		return
 	}
 	reclaimed := 0
 	for i, f := range t.slots {
 		if f != nil && f.state == stateSignaled {
 			t.slots[i] = nil
-			t.free = append(t.free, i)
+			t.pushFree(i)
 			t.recycles++
 			reclaimed++
 		}
@@ -210,15 +239,15 @@ func (t *Table) maybeRecycle(force bool) {
 // unsignaled fence — a full table of unretired fences means a deadlocked
 // protocol, not a capacity problem.
 func (t *Table) Alloc() *Fence {
-	if len(t.free) == 0 {
+	if t.numFree() == 0 {
 		t.maybeRecycle(true)
 	}
-	if len(t.free) == 0 {
+	if t.numFree() == 0 {
 		panic("fence: table exhausted with no signaled slots to recycle")
 	}
-	idx := t.free[0]
-	t.free = t.free[1:]
-	f := &Fence{table: t, idx: idx, state: stateActive, ev: sim.NewEvent(t.env)}
+	idx := t.popFree()
+	f := &Fence{table: t, idx: idx, state: stateActive}
+	f.ev.Init(t.env)
 	t.slots[idx] = f
 	t.allocs++
 	if in := t.InUse(); in > t.peak {

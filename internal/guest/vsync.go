@@ -18,20 +18,26 @@ import (
 )
 
 // VSync is a periodic display-synchronization clock (Android's VSYNC).
+//
+// Tick k is signaled on evs[(k-1)%2]. An event is re-armed for reuse one
+// full period after it fired, and every waiter it woke resumed at the
+// instant it fired, so by then nothing refers to it: the clock allocates
+// nothing per tick.
 type VSync struct {
 	tick int64
-	next *sim.Event
+	evs  [2]sim.Event
 }
 
 // NewVSync starts a VSync clock with the given period (16.67 ms for 60 Hz).
 // The first tick fires one period from now.
 func NewVSync(env *sim.Env, period time.Duration) *VSync {
-	v := &VSync{next: sim.NewEvent(env)}
+	v := &VSync{}
+	v.evs[0].Init(env)
 	var fire func()
 	fire = func() {
+		cur := v.next()
 		v.tick++
-		cur := v.next
-		v.next = sim.NewEvent(env)
+		v.next().Init(env)
 		cur.Signal()
 		env.After(period, fire)
 	}
@@ -39,11 +45,14 @@ func NewVSync(env *sim.Env, period time.Duration) *VSync {
 	return v
 }
 
+// next returns the event the coming tick signals.
+func (v *VSync) next() *sim.Event { return &v.evs[v.tick&1] }
+
 // Tick returns the number of ticks elapsed.
 func (v *VSync) Tick() int64 { return v.tick }
 
 // Wait blocks p until the next VSync tick and returns the tick time.
 func (v *VSync) Wait(p *sim.Proc) time.Duration {
-	v.next.Wait(p)
+	v.next().Wait(p)
 	return p.Now()
 }

@@ -17,8 +17,9 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/metrics"
@@ -29,25 +30,27 @@ import (
 type NodeID int
 
 // EdgeKey canonically identifies a hyperedge by its source and destination
-// node sets.
+// node sets: the sorted sets in decimal, comma-separated, joined by "->".
 type EdgeKey string
 
-func keyOf(sources, dests []NodeID) EdgeKey {
-	var b strings.Builder
+// appendKey appends the canonical key of the (already canonical) sets to
+// buf. Edge and Lookup build it into a stack buffer, so finding an existing
+// edge allocates nothing.
+func appendKey(buf []byte, sources, dests []NodeID) []byte {
 	for i, s := range sources {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%d", s)
+		buf = strconv.AppendInt(buf, int64(s), 10)
 	}
-	b.WriteString("->")
+	buf = append(buf, "->"...)
 	for i, d := range dests {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%d", d)
+		buf = strconv.AppendInt(buf, int64(d), 10)
 	}
-	return EdgeKey(b.String())
+	return buf
 }
 
 // Edge is one directed hyperedge: a data flow from the source device set to
@@ -72,9 +75,9 @@ type Edge struct {
 	series map[string]*metrics.EWMA
 }
 
-func newEdge(sources, dests []NodeID) *Edge {
+func newEdge(key string, sources, dests []NodeID) *Edge {
 	return &Edge{
-		Key:     keyOf(sources, dests),
+		Key:     EdgeKey(key),
 		Sources: sources,
 		Dests:   dests,
 		series:  make(map[string]*metrics.EWMA),
@@ -135,7 +138,7 @@ func (e *Edge) String() string { return string(e.Key) }
 type Graph struct {
 	Name  string
 	nodes map[NodeID]string
-	edges map[EdgeKey]*Edge
+	edges map[string]*Edge
 	// bySource indexes edges by each source node for flow lookup.
 	bySource map[NodeID][]*Edge
 }
@@ -145,7 +148,7 @@ func New(name string) *Graph {
 	return &Graph{
 		Name:     name,
 		nodes:    make(map[NodeID]string),
-		edges:    make(map[EdgeKey]*Edge),
+		edges:    make(map[string]*Edge),
 		bySource: make(map[NodeID][]*Edge),
 	}
 }
@@ -169,10 +172,12 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // Edge finds or creates the hyperedge for the given source and destination
 // sets. The sets are canonicalized (sorted, deduplicated), so argument
 // order never creates duplicate edges. Unregistered nodes panic: the node
-// sets are fixed at startup.
+// sets are fixed at startup. Finding an existing edge allocates nothing;
+// the canonical sets are copied only into a newly created edge.
 func (g *Graph) Edge(sources, dests []NodeID) *Edge {
-	s := canon(sources)
-	d := canon(dests)
+	var sbuf, dbuf [canonInline]NodeID
+	s := canon(sources, &sbuf)
+	d := canon(dests, &dbuf)
 	for _, id := range s {
 		if _, ok := g.nodes[id]; !ok {
 			panic(fmt.Sprintf("hypergraph: unknown source node %d in %s", id, g.Name))
@@ -183,13 +188,14 @@ func (g *Graph) Edge(sources, dests []NodeID) *Edge {
 			panic(fmt.Sprintf("hypergraph: unknown dest node %d in %s", id, g.Name))
 		}
 	}
-	key := keyOf(s, d)
-	if e, ok := g.edges[key]; ok {
+	var kbuf [keyInline]byte
+	key := appendKey(kbuf[:0], s, d)
+	if e, ok := g.edges[string(key)]; ok {
 		return e
 	}
-	e := newEdge(s, d)
-	g.edges[key] = e
-	for _, id := range s {
+	e := newEdge(string(key), slices.Clone(s), slices.Clone(d))
+	g.edges[string(e.Key)] = e
+	for _, id := range e.Sources {
 		g.bySource[id] = append(g.bySource[id], e)
 	}
 	return e
@@ -197,7 +203,10 @@ func (g *Graph) Edge(sources, dests []NodeID) *Edge {
 
 // Lookup returns the edge for the given sets without creating it.
 func (g *Graph) Lookup(sources, dests []NodeID) (*Edge, bool) {
-	e, ok := g.edges[keyOf(canon(sources), canon(dests))]
+	var sbuf, dbuf [canonInline]NodeID
+	var kbuf [keyInline]byte
+	key := appendKey(kbuf[:0], canon(sources, &sbuf), canon(dests, &dbuf))
+	e, ok := g.edges[string(key)]
 	return e, ok
 }
 
@@ -208,12 +217,12 @@ func (g *Graph) EdgesFrom(id NodeID) []*Edge { return g.bySource[id] }
 func (g *Graph) Edges() []*Edge {
 	keys := make([]string, 0, len(g.edges))
 	for k := range g.edges {
-		keys = append(keys, string(k))
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	out := make([]*Edge, len(keys))
 	for i, k := range keys {
-		out[i] = g.edges[EdgeKey(k)]
+		out[i] = g.edges[k]
 	}
 	return out
 }
@@ -232,15 +241,29 @@ func (g *Graph) HottestFrom(id NodeID) (*Edge, bool) {
 	return best, best != nil
 }
 
-func canon(ids []NodeID) []NodeID {
-	out := make([]NodeID, 0, len(ids))
-	seen := make(map[NodeID]bool, len(ids))
+// Inline capacities of the stack buffers Edge and Lookup canonicalize and
+// key into. A device set of a few nodes fits; a larger one spills to the
+// heap and stays correct.
+const (
+	canonInline = 8
+	keyInline   = 64
+)
+
+// canon returns ids sorted and deduplicated, built in buf (insertion sort:
+// node sets are a handful of devices).
+func canon(ids []NodeID, buf *[canonInline]NodeID) []NodeID {
+	out := buf[:0]
 	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+		i := len(out)
+		for i > 0 && out[i-1] > id {
+			i--
 		}
+		if i > 0 && out[i-1] == id {
+			continue
+		}
+		out = append(out, 0)
+		copy(out[i+1:], out[i:])
+		out[i] = id
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

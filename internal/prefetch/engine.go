@@ -58,7 +58,9 @@ func DefaultConfig() Config {
 // Prediction is the engine's output for one write: where to prefetch and the
 // timing forecast used for adaptive synchronism.
 type Prediction struct {
-	// Readers is the predicted physical destination device set.
+	// Readers is the predicted physical destination device set. It is the
+	// engine's scratch, valid until the next Predict call; a caller that
+	// keeps it copies it.
 	Readers []hypergraph.NodeID
 	// ZeroShot reports that the region had no mapped flow and the
 	// prediction came from the writer's hottest flow.
@@ -83,7 +85,8 @@ type Engine struct {
 	consecutiveFailures int
 	suspendedUntil      time.Duration
 	suspensions         int
-	maxBandwidth        map[string]float64 // per transfer path
+	maxBandwidth        map[string]float64  // per transfer path
+	readers             []hypergraph.NodeID // Prediction.Readers scratch
 
 	tr      *obs.Tracer
 	tk      obs.Track
@@ -138,12 +141,14 @@ func (e *Engine) Predict(region uint64, writerPhys hypergraph.NodeID, size int64
 	// virtual devices mapped to one physical node, e.g. an in-GPU ISP
 	// feeding the GPU), but predicting it would both schedule a no-op push
 	// and let accuracy scoring credit a self-prediction as correct.
+	pred.Readers = e.readers[:0]
 	for _, dst := range pEdge.Dests {
 		if dst == writerPhys {
 			continue
 		}
 		pred.Readers = append(pred.Readers, dst)
 	}
+	e.readers = pred.Readers
 	if len(pred.Readers) == 0 {
 		// Same-node flow only: nothing to prefetch, nothing to predict.
 		return Prediction{}, false

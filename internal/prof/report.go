@@ -23,6 +23,11 @@ type Report struct {
 	Classes map[string]*ClassStat
 	Folded  map[string]time.Duration
 	Top     []FrameRecord
+
+	// foldKeys interns folded-stack keys and keyBuf is the buffer they are
+	// built in, so charging a stack already seen allocates nothing.
+	foldKeys map[string]string
+	keyBuf   []byte
 }
 
 // ClassStat aggregates one operation class (e.g. "demand-fetch"): how
@@ -55,7 +60,26 @@ func newReport() *Report {
 		Comps:   make(map[string]time.Duration),
 		Classes: make(map[string]*ClassStat),
 		Folded:  make(map[string]time.Duration),
+
+		foldKeys: make(map[string]string),
 	}
+}
+
+// foldedKey returns the folded-stack key "s0;s1;...;comp", interned.
+func (r *Report) foldedKey(stack []string, comp string) string {
+	buf := r.keyBuf[:0]
+	for _, s := range stack {
+		buf = append(buf, s...)
+		buf = append(buf, ';')
+	}
+	buf = append(buf, comp...)
+	r.keyBuf = buf
+	if k, ok := r.foldKeys[string(buf)]; ok {
+		return k
+	}
+	k := string(buf)
+	r.foldKeys[k] = k
+	return k
 }
 
 func (r *Report) chargeClass(class, comp string, d time.Duration) {

@@ -95,10 +95,5 @@ func (w *walker) charge(comp string, d time.Duration) {
 	}
 	w.rep.Comps[comp] += d
 	w.frame[comp] += d
-	key := ""
-	for _, s := range w.stack {
-		key += s + ";"
-	}
-	key += comp
-	w.rep.Folded[key] += d
+	w.rep.Folded[w.rep.foldedKey(w.stack, comp)] += d
 }

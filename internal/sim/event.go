@@ -15,15 +15,34 @@ type waiter struct {
 // Event is a one-shot broadcast: processes wait until some party signals,
 // after which all current and future waits return immediately. Value may be
 // set by the signaler before Signal to pass a result to waiters.
+//
+// The first waiter registers into an inline array, so the common
+// single-waiter event allocates nothing beyond itself. An Event embedded by
+// value in a larger object (see Init) must not be copied once used.
 type Event struct {
 	env     *Env
 	fired   bool
 	Value   any
 	waiters []*waiter
+	first   [1]*waiter
 }
 
 // NewEvent returns an unfired event bound to env.
 func NewEvent(env *Env) *Event { return &Event{env: env} }
+
+// Init resets ev to an unfired event bound to env. It is how an object
+// that embeds an Event by value (a command, a fence) prepares it, sparing
+// the separate allocation NewEvent makes.
+func (ev *Event) Init(env *Env) { *ev = Event{env: env} }
+
+// addWaiter registers w, backing the first registration by the inline
+// array.
+func (ev *Event) addWaiter(w *waiter) {
+	if ev.waiters == nil {
+		ev.waiters = ev.first[:0]
+	}
+	ev.waiters = append(ev.waiters, w)
+}
 
 // Fired reports whether the event has been signaled.
 func (ev *Event) Fired() bool { return ev.fired }
@@ -42,6 +61,7 @@ func (ev *Event) Signal() {
 			ev.env.schedule(ev.env.now, w.p, nil)
 		}
 	}
+	clear(ev.waiters)
 	ev.waiters = nil
 }
 
@@ -62,7 +82,7 @@ func (ev *Event) Wait(p *Proc) {
 		return
 	}
 	w := ev.env.getWaiter(p)
-	ev.waiters = append(ev.waiters, w)
+	ev.addWaiter(w)
 	p.park()
 	ev.env.putWaiter(w)
 }
@@ -77,7 +97,7 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 		return true
 	}
 	w := ev.env.getWaiter(p)
-	ev.waiters = append(ev.waiters, w)
+	ev.addWaiter(w)
 	t := ev.env.AfterFunc(d, func() {
 		if !w.woke {
 			w.woke = true

@@ -157,3 +157,59 @@ func TestAbortUnstartedOnReusedRunner(t *testing.T) {
 	}
 	waitGoroutines(t, before)
 }
+
+// TestQueueHandoffAllocFree pins a steady-state Put→Get handoff between two
+// processes at zero allocations: the queue pops by head index and reuses its
+// backing array and wait lists.
+func TestQueueHandoffAllocFree(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	q := NewQueue[int](env, 0)
+	gate := NewQueue[int](env, 0)
+	env.Spawn("producer", func(p *Proc) {
+		for {
+			q.Put(p, gate.Get(p))
+		}
+	})
+	env.Spawn("consumer", func(p *Proc) {
+		for {
+			q.Get(p)
+		}
+	})
+	gate.TryPut(0)
+	env.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		gate.TryPut(0)
+		env.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per queue handoff, want 0", allocs)
+	}
+}
+
+// TestEventWaitSignalAllocFree pins a single-waiter Wait/Signal at zero
+// allocations beyond the Event itself: the first waiter registers into the
+// event's inline array and the waiter record comes from the free list.
+func TestEventWaitSignalAllocFree(t *testing.T) {
+	env := NewEnv(1)
+	defer env.Close()
+	var ev Event
+	gate := NewQueue[int](env, 0)
+	env.Spawn("waiter", func(p *Proc) {
+		for {
+			gate.Get(p)
+			ev.Wait(p)
+		}
+	})
+	round := func() {
+		ev.Init(env)
+		gate.TryPut(0)
+		env.Run() // the waiter parks on ev
+		ev.Signal()
+		env.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("%.1f allocs per Event Wait/Signal, want 0", allocs)
+	}
+}

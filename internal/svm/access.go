@@ -11,7 +11,9 @@ import (
 )
 
 // Access is one open access to a region, created by BeginAccess and closed
-// by End — the begin_access/end_access pair of the Fig. 3 interface.
+// by End — the begin_access/end_access pair of the Fig. 3 interface. It is
+// a value the caller keeps for the access's duration, so an access costs
+// no allocation; a copy must not be ended a second time.
 type Access struct {
 	m     *Manager
 	r     *Region
@@ -39,16 +41,16 @@ type EndInfo struct {
 // (dirty) range; 0 means the whole region. For read usages the call blocks
 // until acc's domain holds the current data — the blocking time is the
 // access latency the paper measures.
-func (m *Manager) BeginAccess(p *sim.Proc, id RegionID, acc Accessor, usage Usage, bytes hostsim.Bytes) (*Access, error) {
+func (m *Manager) BeginAccess(p *sim.Proc, id RegionID, acc Accessor, usage Usage, bytes hostsim.Bytes) (Access, error) {
 	r, err := m.Region(id)
 	if err != nil {
-		return nil, err
+		return Access{}, err
 	}
 	if bytes == 0 {
 		bytes = r.Size
 	}
 	if bytes < 0 || bytes > r.Size {
-		return nil, ErrBadSize
+		return Access{}, ErrBadSize
 	}
 	start := p.Now()
 	var asp obs.AsyncSpan
@@ -95,7 +97,7 @@ func (m *Manager) BeginAccess(p *sim.Proc, id RegionID, acc Accessor, usage Usag
 		m.stats.Writes++
 		m.om.writes.Inc()
 	}
-	return &Access{m: m, r: r, acc: acc, usage: usage, bytes: bytes}, nil
+	return Access{m: m, r: r, acc: acc, usage: usage, bytes: bytes}, nil
 }
 
 // materialize lazily commits the region's backing on first access (§3.2).
@@ -137,10 +139,19 @@ func (m *Manager) trackReadFlow(r *Region, acc Accessor, bytes hostsim.Bytes, re
 	}
 
 	r.genReaders = append(r.genReaders, acc)
-	vEdge := m.twin.Virtual.Edge(
-		[]hypergraph.NodeID{r.lastWriter.Virtual}, r.readerVirtuals())
-	pEdge := m.twin.Physical.Edge(
-		[]hypergraph.NodeID{r.lastWriter.Physical}, r.readerPhysicals())
+	// Edge canonicalizes (sorts and dedupes) the reader sets, so they are
+	// gathered raw into one reused scratch slice.
+	ids := m.readerIDs[:0]
+	for _, a := range r.genReaders {
+		ids = append(ids, a.Virtual)
+	}
+	vEdge := m.twin.Virtual.Edge([]hypergraph.NodeID{r.lastWriter.Virtual}, ids)
+	ids = ids[:0]
+	for _, a := range r.genReaders {
+		ids = append(ids, a.Physical)
+	}
+	pEdge := m.twin.Physical.Edge([]hypergraph.NodeID{r.lastWriter.Physical}, ids)
+	m.readerIDs = ids
 	m.twin.Map(uint64(r.ID), hypergraph.Mapping{Virtual: vEdge, Physical: pEdge})
 	now := m.env.Now()
 	vEdge.Touch(now)
@@ -197,7 +208,8 @@ func (a *Access) End(p *sim.Proc) (EndInfo, error) {
 		}
 		r.version++
 		r.owner = a.acc.Domain
-		r.copies = map[*hostsim.Domain]uint64{a.acc.Domain: r.version}
+		clear(r.copies)
+		r.copies[a.acc.Domain] = r.version
 		r.hasWriter = true
 		r.lastWriter = a.acc
 		r.genReaders = r.genReaders[:0]

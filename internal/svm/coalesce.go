@@ -115,7 +115,8 @@ func (c *pushCoalescer) enqueue(r *Region, from, dom *hostsim.Domain,
 	bytes hostsim.Bytes, recordTiming bool) *PushBatch {
 
 	m := c.m
-	inf := &inflightFetch{done: sim.NewEvent(m.env), version: r.version}
+	inf := &inflightFetch{version: r.version}
+	inf.done.Init(m.env)
 	r.inflight[dom] = inf
 	m.stats.CoherencePushes++
 	it := batchItem{r: r, from: from, bytes: bytes, version: r.version,

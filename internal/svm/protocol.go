@@ -54,9 +54,21 @@ func (m *Manager) copyCoherenceOpts(p *sim.Proc, from, to *hostsim.Domain, bytes
 	// time counts, so that fixed scheduling cost and incidental queueing
 	// on small copies do not masquerade as congestion.
 	if m.engine != nil && service > 0 && !sync {
-		m.engine.ObserveBandwidth(from.Name+"->"+to.Name, float64(bytes)/service.Seconds(), p.Now())
+		m.engine.ObserveBandwidth(m.pathName(from, to), float64(bytes)/service.Seconds(), p.Now())
 	}
 	return elapsed
+}
+
+// pathName returns the bandwidth-path key "from->to", built once per
+// domain pair.
+func (m *Manager) pathName(from, to *hostsim.Domain) string {
+	k := [2]*hostsim.Domain{from, to}
+	name, ok := m.pathNames[k]
+	if !ok {
+		name = from.Name + "->" + to.Name
+		m.pathNames[k] = name
+	}
+	return name
 }
 
 // demandFetch synchronously brings acc.Domain current from the owner. It
@@ -119,7 +131,8 @@ func (m *Manager) asyncPush(r *Region, from, dom *hostsim.Domain, bytes hostsim.
 		return
 	}
 	version := r.version
-	inf := &inflightFetch{done: sim.NewEvent(m.env), version: version}
+	inf := &inflightFetch{version: version}
+	inf.done.Init(m.env)
 	if m.pf != nil {
 		inf.node = m.pf.NewNode("svm:push", "svm:push-pending")
 	}

@@ -36,11 +36,11 @@ func (pp *prefetchProtocol) onWriteEnd(p *sim.Proc, r *Region, acc Accessor, byt
 		m.tr.Instant(m.prefTk, name)
 	}
 	r.predValid = true
-	r.predReaders = pred.Readers
+	r.predReaders = append(r.predReaders[:0], pred.Readers...)
 	r.predTimed = pred.HaveTiming
 	r.predSlack = pred.Slack
 	r.predPf = pred.PrefetchTime
-	for _, node := range pred.Readers {
+	for _, node := range r.predReaders {
 		dom, ok := m.physDomain[node]
 		if !ok || dom == acc.Domain {
 			continue // reader shares the writer's domain: nothing to move

@@ -12,7 +12,7 @@ import (
 // inflightFetch tracks one asynchronous copy (prefetch or broadcast push)
 // toward a domain.
 type inflightFetch struct {
-	done    *sim.Event
+	done    sim.Event
 	version uint64
 	// node is the push's wait-for graph vertex (the batch's vertex when
 	// the push rides a coalesced batch); nil when profiling is off.
@@ -89,27 +89,4 @@ func (r *Region) Owner() *hostsim.Domain { return r.owner }
 // HasCurrentCopy reports whether the domain holds the latest version.
 func (r *Region) HasCurrentCopy(d *hostsim.Domain) bool {
 	return r.version > 0 && r.copies[d] == r.version
-}
-
-// readerVirtuals returns the deduplicated virtual node set of gen readers.
-func (r *Region) readerVirtuals() []hypergraph.NodeID {
-	return dedupeNodes(r.genReaders, func(a Accessor) hypergraph.NodeID { return a.Virtual })
-}
-
-// readerPhysicals returns the deduplicated physical node set of gen readers.
-func (r *Region) readerPhysicals() []hypergraph.NodeID {
-	return dedupeNodes(r.genReaders, func(a Accessor) hypergraph.NodeID { return a.Physical })
-}
-
-func dedupeNodes(accs []Accessor, key func(Accessor) hypergraph.NodeID) []hypergraph.NodeID {
-	seen := make(map[hypergraph.NodeID]bool, len(accs))
-	out := make([]hypergraph.NodeID, 0, len(accs))
-	for _, a := range accs {
-		id := key(a)
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }

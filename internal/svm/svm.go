@@ -167,8 +167,12 @@ type Manager struct {
 
 	regions map[RegionID]*Region
 	nextID  RegionID
+	// readerIDs is trackReadFlow's scratch for a generation's reader
+	// nodes, reused across calls.
+	readerIDs []hypergraph.NodeID
 
 	physDomain map[hypergraph.NodeID]*hostsim.Domain
+	pathNames  map[[2]*hostsim.Domain]string
 
 	stats    Stats
 	observer AccessObserver
@@ -206,6 +210,7 @@ func NewManager(env *sim.Env, mach *hostsim.Machine, cfg Config) *Manager {
 		twin:       hypergraph.NewTwin(),
 		regions:    make(map[RegionID]*Region),
 		physDomain: make(map[hypergraph.NodeID]*hostsim.Domain),
+		pathNames:  make(map[[2]*hostsim.Domain]string),
 	}
 	if m.tr = env.Tracer(); m.tr != nil {
 		m.prefTk = m.tr.Track("prefetch")

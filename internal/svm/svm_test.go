@@ -584,7 +584,7 @@ func TestHALLifecycle(t *testing.T) {
 			t.Errorf("begin: %v", err)
 			return
 		}
-		if _, err := mod.EndAccess(p, a); err != nil {
+		if _, err := mod.EndAccess(p, &a); err != nil {
 			t.Errorf("end: %v", err)
 		}
 		if err := mod.Free(p, h); err != nil {
@@ -832,4 +832,45 @@ func TestReadEndOnFreedRegionCompletes(t *testing.T) {
 		}
 	})
 	rg.env.RunUntil(time.Second)
+}
+
+// TestWriteInvalidateRoundTripAllocFree pins one steady-state
+// write-invalidate cycle — a write commit, then a cross-device read that
+// demand-fetches the new version and updates the twin hypergraphs — at zero
+// allocations: edge keys are built on the stack, the reader sets reuse the
+// manager's scratch slice, the copies map is cleared in place and the
+// Access is a value.
+func TestWriteInvalidateRoundTripAllocFree(t *testing.T) {
+	rg := newRig(t, KindWriteInvalidate)
+	r, err := rg.m.Alloc(4 * hostsim.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := sim.NewQueue[int](rg.env, 0)
+	rg.env.Spawn("pipeline", func(p *sim.Proc) {
+		for {
+			gate.Get(p)
+			w, _ := rg.m.BeginAccess(p, r.ID, rg.codec, UsageWrite, 0)
+			_, _ = w.End(p)
+			rd, _ := rg.m.BeginAccess(p, r.ID, rg.gpu, UsageRead, 0)
+			_, _ = rd.End(p)
+		}
+	})
+	cycle := func() {
+		gate.TryPut(0)
+		rg.env.Run()
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // grow the stats' sample slices past their first doublings
+	}
+	reads := rg.m.Stats().Reads
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("%.1f allocs per write-invalidate round trip, want 0", allocs)
+	}
+	if got := rg.m.Stats().Reads - reads; got != 1001 {
+		t.Fatalf("%d reads in the measured cycles, want 1001", got)
+	}
+	if rg.m.Stats().DemandFetches < 1001 {
+		t.Fatalf("%d demand fetches, want one per cycle", rg.m.Stats().DemandFetches)
+	}
 }

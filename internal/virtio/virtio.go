@@ -96,14 +96,15 @@ type Stats struct {
 }
 
 // Command is one unit of work dispatched from a guest driver to a host
-// virtual device.
+// virtual device. The caller owns its storage (a device embeds it in its
+// per-op record) and prepares it with Ring.InitCommand.
 type Command struct {
 	Kind    string
 	Payload any
 	Seq     uint64
 	// Done fires when the host finishes executing the command. Guest
 	// drivers wait on it only in synchronous (atomic) modes.
-	Done *sim.Event
+	Done sim.Event
 	// EnqueuedAt is the virtual time the guest dispatched the command.
 	EnqueuedAt time.Duration
 }
@@ -160,10 +161,11 @@ func NewRing(env *sim.Env, name string, cfg Config) *Ring {
 	return r
 }
 
-// NewCommand builds a command bound to this ring's sequence space.
-func (r *Ring) NewCommand(kind string, payload any) *Command {
+// InitCommand prepares c as a fresh command in this ring's sequence space.
+func (r *Ring) InitCommand(c *Command, kind string, payload any) {
 	r.seq++
-	return &Command{Kind: kind, Payload: payload, Seq: r.seq, Done: sim.NewEvent(r.env)}
+	*c = Command{Kind: kind, Payload: payload, Seq: r.seq}
+	c.Done.Init(r.env)
 }
 
 // Dispatch publishes one command and kicks the host. The calling guest

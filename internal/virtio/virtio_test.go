@@ -9,6 +9,13 @@ import (
 
 const us = time.Microsecond
 
+// newCommand allocates and initializes one command on r.
+func newCommand(r *Ring, kind string, payload any) *Command {
+	c := &Command{}
+	r.InitCommand(c, kind, payload)
+	return c
+}
+
 func testConfig() Config {
 	return Config{KickCost: 10 * us, IRQCost: 5 * us, PerCommandCost: 1 * us}
 }
@@ -19,7 +26,7 @@ func TestDispatchPaysKickAndMarshal(t *testing.T) {
 	r := NewRing(env, "q", testConfig())
 	var after time.Duration
 	env.Spawn("guest", func(p *sim.Proc) {
-		r.Dispatch(p, r.NewCommand("write", nil))
+		r.Dispatch(p, newCommand(r, "write", nil))
 		after = p.Now()
 	})
 	env.Run()
@@ -34,7 +41,7 @@ func TestBatchSingleKick(t *testing.T) {
 	r := NewRing(env, "q", testConfig())
 	var after time.Duration
 	env.Spawn("guest", func(p *sim.Proc) {
-		cmds := []*Command{r.NewCommand("a", nil), r.NewCommand("b", nil), r.NewCommand("c", nil)}
+		cmds := []*Command{newCommand(r, "a", nil), newCommand(r, "b", nil), newCommand(r, "c", nil)}
 		r.DispatchBatch(p, cmds)
 		after = p.Now()
 	})
@@ -59,7 +66,7 @@ func TestRingFIFODelivery(t *testing.T) {
 	})
 	env.Spawn("guest", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			r.Dispatch(p, r.NewCommand("x", i))
+			r.Dispatch(p, newCommand(r, "x", i))
 		}
 	})
 	env.Run()
@@ -81,7 +88,7 @@ func TestCommandDoneRoundTrip(t *testing.T) {
 		c.Done.Signal()
 	})
 	env.Spawn("guest", func(p *sim.Proc) {
-		c := r.NewCommand("write", nil)
+		c := newCommand(r, "write", nil)
 		r.Dispatch(p, c)
 		c.Done.Wait(p) // atomic/synchronous mode
 		doneAt = p.Now()
@@ -126,8 +133,8 @@ func TestPendingCount(t *testing.T) {
 	defer env.Close()
 	r := NewRing(env, "q", testConfig())
 	env.Spawn("guest", func(p *sim.Proc) {
-		r.Dispatch(p, r.NewCommand("a", nil))
-		r.Dispatch(p, r.NewCommand("b", nil))
+		r.Dispatch(p, newCommand(r, "a", nil))
+		r.Dispatch(p, newCommand(r, "b", nil))
 	})
 	env.Run()
 	if r.Pending() != 2 {
